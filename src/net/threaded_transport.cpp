@@ -82,24 +82,33 @@ void ThreadedTransport::set_wake_hook(std::size_t shard,
   shards_[shard]->wake_hook = std::move(hook);
 }
 
-void ThreadedTransport::enqueue(std::size_t index, Entry entry) {
+void ThreadedTransport::enqueue(std::size_t index, Entry entry, bool count_sent) {
   Shard& shard = *shards_[index];
   // Count BEFORE enqueue: a cascade's child entry is in the count
   // before the parent's decrement, so in-flight can only read 0 when
   // the whole causal tree has run.
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  bool need_start = false;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
+    const bool edge = shard.inbox.empty();
+    if (count_sent) {
+      ++shard.local.sent;
+      shard.local.wire_bytes += entry.bytes.size();
+    }
     shard.inbox.push_back(std::move(entry));
     if (shard.wake_hook) {
-      shard.wake_hook();  // hosted: must be async-safe (eventfd write)
-    } else {
-      need_start = true;
+      // Hosted: wake only on the empty -> non-empty edge.  An entry
+      // pushed onto a non-empty inbox rides the wake its first entry
+      // raised: the host drains its wake before pump_shard swaps the
+      // inbox, so the pump that wake leads to takes this entry too.
+      // The hook runs under the lock so no pump can retire the entry
+      // (and let the host shut down) before the wake lands.
+      if (edge) shard.wake_hook();  // must be async-safe (eventfd write)
+      return;
     }
   }
   shard.ready.notify_one();
-  if (need_start) start();  // lazy self-hosted spin-up (idempotent)
+  start();  // lazy self-hosted spin-up (idempotent)
 }
 
 void ThreadedTransport::send(NodeId from, NodeId to,
@@ -120,13 +129,13 @@ void ThreadedTransport::send(NodeId from, NodeId to,
   DVV_ASSERT_MSG(size_hint == 0 || entry.bytes.size() == size_hint,
                  "net: sender's size hint disagrees with the real encoding");
   const std::size_t index = shard_of(to);
-  Shard& shard = *shards_[index];
   if (met_.msgs_sent.armed()) {
     met_.msgs_sent.inc();
     met_.sent_by_type[msg->index()].inc();
     met_.wire_bytes_sent.inc(entry.bytes.size());
   }
   if (!link_up(from, to)) {
+    Shard& shard = *shards_[index];
     const std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.local.sent;
     shard.local.wire_bytes += entry.bytes.size();
@@ -135,12 +144,7 @@ void ThreadedTransport::send(NodeId from, NodeId to,
     return;
   }
   entry.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.local.sent;
-    shard.local.wire_bytes += entry.bytes.size();
-  }
-  enqueue(index, std::move(entry));
+  enqueue(index, std::move(entry), /*count_sent=*/true);
 }
 
 void ThreadedTransport::inject_raw(NodeId from, NodeId to, std::string bytes) {
@@ -149,14 +153,14 @@ void ThreadedTransport::inject_raw(NodeId from, NodeId to, std::string bytes) {
   entry.from = from;
   entry.to = to;
   entry.bytes = std::move(bytes);
-  enqueue(shard_of(to), std::move(entry));
+  enqueue(shard_of(to), std::move(entry), /*count_sent=*/false);
 }
 
 void ThreadedTransport::post(std::size_t shard, std::function<void()> task) {
   DVV_ASSERT(shard < shards_.size());
   Entry entry;
   entry.task = std::move(task);
-  enqueue(shard, std::move(entry));
+  enqueue(shard, std::move(entry), /*count_sent=*/false);
 }
 
 void ThreadedTransport::run_on(std::size_t shard,

@@ -40,9 +40,16 @@
 //     starts the workers.  stop() (and the destructor) drains and
 //     joins.
 //   * Hosted: an embedding event loop (the dvvd epoll server) calls
-//     set_wake_hook(shard, fn) — invoked on enqueue, e.g. writing an
-//     eventfd — and pump_shard(shard) from its own thread whenever
-//     woken.  start() is never called; the host owns the threads.
+//     set_wake_hook(shard, fn) and pump_shard(shard) from its own
+//     thread whenever woken.  start() is never called; the host owns
+//     the threads.  The wake is edge-triggered: the hook fires only
+//     when an enqueue finds the shard's inbox empty (e.g. one eventfd
+//     write per run of entries, not per entry).  The contract that
+//     makes this lossless: the host consumes a wake (drains its
+//     eventfd) BEFORE the pump_shard call that wake leads to, so an
+//     entry that found the inbox non-empty is taken by that pump, and
+//     an entry enqueued during or after the pump's swap finds the
+//     inbox empty and wakes again.
 //
 // Tasks.  post(shard, fn) enqueues an arbitrary closure into a shard's
 // serial domain (counted in flight like a message); run_on(shard, fn)
@@ -124,10 +131,14 @@ class ThreadedTransport final : public Transport {
 
   // ---- hosted mode --------------------------------------------------------
 
-  /// Installs the host's wake callback for `shard` (called on enqueue,
-  /// possibly from any thread — it must be async-safe to the host's
-  /// loop, e.g. an eventfd write).  Installing any hook disables the
-  /// self-hosted workers; install before the first send.
+  /// Installs the host's wake callback for `shard`: called when an
+  /// enqueue finds the inbox empty, possibly from any thread and under
+  /// the shard's inbox mutex — it must be async-safe to the host's
+  /// loop and must not call back into the transport (e.g. an eventfd
+  /// write).  The host must consume each wake before the pump_shard it
+  /// triggers (see the drive-mode contract above).  Installing any
+  /// hook disables the self-hosted workers; install before the first
+  /// send.
   void set_wake_hook(std::size_t shard, std::function<void()> hook);
 
   /// Processes everything currently queued for `shard` on the CALLING
@@ -159,16 +170,21 @@ class ThreadedTransport final : public Transport {
     std::function<void()> wake_hook;
     std::thread worker;
     bool stopping = false;
-    /// Per-shard delivery accounting, owned by the shard thread; the
-    /// aggregate view is stats().  Plain (non-atomic) because only the
-    /// owning shard writes it and readers aggregate at quiescence
-    /// under the inbox mutex.
+    /// Per-shard accounting; the aggregate view is stats().  Plain
+    /// (non-atomic): send-side fields are written under the inbox
+    /// mutex, delivery-side fields only by the owning shard thread,
+    /// and stats() reads them lock-free, which is exact only at
+    /// quiescence (the in-flight acquire read orders every write
+    /// before it).
     TransportStats local;
     /// Decode scratch, reused per delivery (thread-confined).
     std::vector<MessageView> batch_views;
   };
 
-  void enqueue(std::size_t shard, Entry entry);
+  /// Pushes `entry` and wakes the shard on the empty -> non-empty
+  /// edge; `count_sent` bumps the send-side stats in the same critical
+  /// section (real sends only, not posts or injected bytes).
+  void enqueue(std::size_t shard, Entry entry, bool count_sent);
   void process(Shard& shard, Entry& entry);
   void worker_loop(std::size_t index);
   [[nodiscard]] bool on_shard_thread() const noexcept;

@@ -164,6 +164,10 @@ struct ServerMetrics {
   MetricCounter bytes_read;            ///< server.bytes_read
   MetricCounter bytes_written;         ///< server.bytes_written
   MetricCounter reads_paused;          ///< server.reads_paused (flow control)
+  MetricCounter write_calls;           ///< server.write_calls (write(2) on
+                                       ///  client sockets)
+  MetricCounter interest_updates;      ///< server.interest_updates
+                                       ///  (epoll_ctl MOD on a connection)
   /// server.decode_reject — total client frames rejected at the strict
   /// boundary, plus the per-cause taxonomy below.  A frame-level reject
   /// (oversized/short) poisons the stream and closes the connection; a

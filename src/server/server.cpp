@@ -66,9 +66,11 @@ void Server::start() {
     ev.data.u64 = kWakeId;
     DVV_ASSERT(::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) ==
                0);
-    // The transport calls this on enqueue, possibly from another shard's
-    // thread or a client thread — an eventfd write is async-safe to the
-    // loop.  Must be installed before the store carries any traffic.
+    // The transport calls this when an enqueue finds the inbox empty,
+    // possibly from another shard's thread or a client thread — an
+    // eventfd write is async-safe to the loop.  run_loop drains the
+    // eventfd before it pumps, as the edge-triggered wake requires.
+    // Must be installed before the store carries any traffic.
     transport_->set_wake_hook(s, [fd = loop->wake_fd] { write_wake(fd); });
     loops_.push_back(std::move(loop));
   }
@@ -181,17 +183,10 @@ void Server::run_loop(std::size_t shard) {
         close_connection(shard, id);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) {
-        Connection& conn = it->second;
-        flush(shard, conn);
-        if (conn.broken) {
-          close_connection(shard, id);
-          continue;
-        }
-        update_interest(shard, conn);
-      }
+      if ((events[i].events & EPOLLOUT) != 0) mark_dirty(loop, it->second);
       if ((events[i].events & EPOLLIN) != 0) handle_readable(shard, id);
     }
+    flush_dirty(shard);
   }
 }
 
@@ -231,8 +226,9 @@ void Server::adopt_connection(std::size_t shard, int fd) {
   Connection& conn = loop.conns[id];
   conn.fd = fd;
   conn.id = id;
+  conn.events = EPOLLIN;
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = conn.events;
   ev.data.u64 = id;
   if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
     loop.conns.erase(id);
@@ -288,6 +284,17 @@ void Server::handle_readable(std::size_t shard, std::uint64_t conn_id) {
       met.reject_oversized_frame.inc();
       close_connection(shard, conn_id);
       return;
+    }
+    // Answer this read's requests before the next read, not at the end
+    // of the turn: a pipelining client refills its window from these
+    // answers while we go on reading, instead of idling until the
+    // socket runs dry.
+    if (conn.dirty) {
+      flush(conn);
+      if (conn.broken) {
+        close_connection(shard, conn_id);
+        return;
+      }
     }
   }
 }
@@ -351,11 +358,6 @@ void Server::handle_frame(std::size_t shard, Connection& conn,
     transport_->post(shard,
                      [this, shard, conn_id, seq, resp = std::move(resp)] {
                        complete(shard, conn_id, seq, std::move(resp));
-                       Loop& loop = *loops_[shard];
-                       auto it = loop.conns.find(conn_id);
-                       if (it != loop.conns.end() && it->second.broken) {
-                         close_connection(shard, conn_id);
-                       }
                      });
   });
 }
@@ -409,11 +411,6 @@ void Server::run_admin() {
     transport_->post(shard, [this, shard, conn_id, seq,
                              resp = std::move(resp)]() mutable {
       complete(shard, conn_id, seq, std::move(resp));
-      Loop& loop = *loops_[shard];
-      auto it = loop.conns.find(conn_id);
-      if (it != loop.conns.end() && it->second.broken) {
-        close_connection(shard, conn_id);
-      }
     });
   }
 }
@@ -472,19 +469,50 @@ void Server::release_ready(std::size_t shard, Connection& conn) {
     released = true;
   }
   if (!released) return;
-  flush(shard, conn);
-  if (!conn.broken) update_interest(shard, conn);
+  mark_dirty(*loops_[shard], conn);
+  // The write waits for the batch (see server.hpp), unless the backlog
+  // already passed the pause threshold: then flush now, so flow
+  // control pauses this connection's reads before the read loop parses
+  // another of its requests.
+  if (!conn.broken &&
+      conn.outbuf.size() - conn.out_pos > config_.outbuf_pause_bytes) {
+    flush(conn);
+  }
 }
 
-void Server::flush(std::size_t shard, Connection& conn) {
+void Server::mark_dirty(Loop& loop, Connection& conn) {
+  if (conn.dirty) return;
+  conn.dirty = true;
+  loop.dirty.push_back(conn.id);
+}
+
+void Server::flush_dirty(std::size_t shard) {
+  Loop& loop = *loops_[shard];
+  for (const std::uint64_t id : loop.dirty) {
+    auto it = loop.conns.find(id);
+    if (it == loop.conns.end()) continue;  // closed since it was marked
+    Connection& conn = it->second;
+    conn.dirty = false;
+    if (!conn.broken) flush(conn);
+    if (conn.broken) {
+      close_connection(shard, id);
+      continue;
+    }
+    update_interest(shard, conn);
+  }
+  loop.dirty.clear();
+}
+
+void Server::flush(Connection& conn) {
   obs::ServerMetrics& met = obs::server_metrics();
   while (conn.out_pos < conn.outbuf.size()) {
+    met.write_calls.inc();
     const ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_pos,
                               conn.outbuf.size() - conn.out_pos);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      conn.broken = true;  // the caller closes at a safe point
+      conn.broken = true;  // closed at the next safe point
       return;
     }
     met.bytes_written.inc(static_cast<std::uint64_t>(n));
@@ -498,7 +526,6 @@ void Server::flush(std::size_t shard, Connection& conn) {
     conn.out_pos = 0;
   }
   const std::size_t pending = conn.outbuf.size() - conn.out_pos;
-  conn.want_write = pending > 0;
   if (!conn.reads_paused && pending > config_.outbuf_pause_bytes) {
     // Slow reader: stop reading THIS connection until the kernel drains
     // its outbuf.  Everything else on the shard keeps being served.
@@ -507,16 +534,20 @@ void Server::flush(std::size_t shard, Connection& conn) {
   } else if (conn.reads_paused && pending < config_.outbuf_resume_bytes) {
     conn.reads_paused = false;
   }
-  (void)shard;
 }
 
 void Server::update_interest(std::size_t shard, Connection& conn) {
-  Loop& loop = *loops_[shard];
+  const std::uint32_t events =
+      (conn.reads_paused ? 0U : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.out_pos < conn.outbuf.size() ? static_cast<std::uint32_t>(EPOLLOUT)
+                                         : 0U);
+  if (events == conn.events) return;  // the steady state: no syscall
+  conn.events = events;
   epoll_event ev{};
-  ev.events = (conn.reads_paused ? 0U : static_cast<unsigned>(EPOLLIN)) |
-              (conn.want_write ? static_cast<unsigned>(EPOLLOUT) : 0U);
+  ev.events = events;
   ev.data.u64 = conn.id;
-  (void)::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  (void)::epoll_ctl(loops_[shard]->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  obs::server_metrics().interest_updates.inc();
 }
 
 }  // namespace dvv::server

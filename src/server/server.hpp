@@ -9,15 +9,25 @@
 // each owning
 //
 //   * an epoll instance,
-//   * an eventfd the transport's wake hook writes on enqueue,
+//   * an eventfd the transport's wake hook writes when an enqueue finds
+//     the shard's inbox empty,
 //   * the client connections assigned to it (round-robin at accept;
 //     shard 0 additionally owns the listening socket),
 //
-// and calls pump_shard() whenever the eventfd fires — so inter-replica
-// messages, cross-shard request forwarding and client I/O all execute
-// on the same per-shard serial domains.  No locks anywhere in the
-// request path; shards communicate ONLY through transport messages and
-// posted closures.
+// and drains the eventfd, then calls pump_shard(), whenever it fires —
+// so inter-replica messages, cross-shard request forwarding and client
+// I/O all execute on the same per-shard serial domains.  No locks
+// anywhere in the request path; shards communicate ONLY through
+// transport messages and posted closures.
+//
+// Writes.  Responses are written per batch, not per response: the
+// answers to one read() leave in one write() before the next read (a
+// pipelining client refills its window from them meanwhile), and
+// responses released by a pump (cross-shard and admin completions) or
+// held back by a full socket leave in one write() per connection at
+// the end of the loop turn — one epoll_wait batch.  The epoll interest
+// is re-registered only when the wanted mask changed (never in the
+// steady state of a reader that keeps up).
 //
 // Request routing.  A frame read on connection shard s parses on s.
 // If the key's coordinator replica lives in shard s, the operation
@@ -32,7 +42,10 @@
 // stops being read (EPOLLIN deregistered, server.reads_paused) until
 // the kernel drains it below the resume threshold — a slow reader
 // stalls only itself; its shard keeps serving every other connection
-// and every transport delivery.
+// and every transport delivery.  A release that takes the outbuf past
+// the pause threshold flushes at once rather than with its batch, so
+// the pause lands before the read loop parses another request; an
+// end-of-turn flush resumes reads once the backlog drains.
 //
 // Decode boundary.  Framing and payload parsing are src/server/
 // protocol.hpp (shared with the fuzz harness).  A frame-level
@@ -107,8 +120,11 @@ class Server {
     /// Completed-response payloads waiting on earlier sequences
     /// (ordered: release walks it from the front).
     std::map<std::uint64_t, std::string> done;
-    bool want_write = false;   ///< EPOLLOUT currently registered
-    bool reads_paused = false; ///< EPOLLIN currently deregistered
+    /// The epoll event mask currently registered for fd; interest is
+    /// only re-registered when the wanted mask differs.
+    std::uint32_t events = 0;
+    bool reads_paused = false; ///< flow control: stop reading (no EPOLLIN)
+    bool dirty = false;        ///< queued on Loop::dirty for this turn
     bool broken = false;       ///< write error; close at next safe point
   };
 
@@ -118,6 +134,9 @@ class Server {
     int epoll_fd = -1;
     int wake_fd = -1;  ///< eventfd; the transport wake hook writes it
     std::map<std::uint64_t, Connection> conns;
+    /// Connections with output released (or EPOLLOUT ready) this loop
+    /// turn; flush_dirty() flushes each once after the event batch.
+    std::vector<std::uint64_t> dirty;
     std::thread thread;
   };
 
@@ -146,8 +165,16 @@ class Server {
   void execute_admin(const Request& req, std::string& out);
   void complete(std::size_t shard, std::uint64_t conn_id, std::uint64_t seq,
                 std::string payload);
+  /// Moves in-order responses to the outbuf and marks the connection
+  /// dirty; writes at once only past the pause threshold.
   void release_ready(std::size_t shard, Connection& conn);
-  void flush(std::size_t shard, Connection& conn);
+  void mark_dirty(Loop& loop, Connection& conn);
+  /// End of a loop turn: one flush per dirty connection, then closes
+  /// the broken ones and re-registers interest where it changed.
+  void flush_dirty(std::size_t shard);
+  /// Writes the outbuf until the kernel pushes back; updates the
+  /// read-pause state; marks the connection broken on a write error.
+  void flush(Connection& conn);
   void update_interest(std::size_t shard, Connection& conn);
   void close_connection(std::size_t shard, std::uint64_t conn_id);
 

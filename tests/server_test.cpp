@@ -13,16 +13,20 @@
 //   * payload-level rejects (bad opcode, trailing junk, bad token)
 //     answered with an error response on a stream that continues;
 //   * pipelined FIFO response ordering with request-id echo;
-//   * a slow reader pausing only itself.
+//   * a slow reader pausing only itself, past the pause threshold too;
+//   * the steady-state syscall budget: no more writes than responses,
+//     no epoll interest change for a reader that keeps up.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "kv/store.hpp"
+#include "obs/obs.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -308,6 +312,111 @@ TEST_F(ServerTest, SlowReaderDoesNotStallOtherConnections) {
     ASSERT_TRUE(slow.read_response(/*is_get=*/false, resp)) << i;
     EXPECT_EQ(resp.request_id, i);
   }
+}
+
+#if !defined(DVV_OBS_DISABLED)
+/// Turns the global metrics registry on for one test and restores it.
+struct MetricsOn {
+  bool was_enabled = obs::registry().enabled();
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(was_enabled); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::registry().counter_value(name);
+}
+#endif
+
+TEST(ServerFlowControlTest, PausedReaderResumesAndGetsEveryResponseInOrder) {
+#if defined(DVV_OBS_DISABLED)
+  GTEST_SKIP() << "the pause is observed through server.reads_paused";
+#else
+  const MetricsOn metrics;
+  kv::StoreConfig config;
+  config.servers = 8;
+  config.transport.kind = net::TransportKind::kThreaded;
+  config.transport.threaded.shards = 4;
+  auto store = kv::make_store("dvv", config);
+  ASSERT_NE(store, nullptr);
+  server::ServerConfig server_config;
+  server_config.outbuf_pause_bytes = 4u << 10;
+  server_config.outbuf_resume_bytes = 1u << 10;
+  server::Server srv(*store, server_config);
+  srv.start();
+
+  const std::string big(256u << 10, 'b');
+  server::Response resp;
+  {
+    server::Client writer(srv.port());
+    ASSERT_TRUE(writer.put("big", "", big, 1, resp));
+    ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+  }
+  // Wave 1: 12 MiB of responses the slow client does not read — more
+  // than the kernel's socket buffers hold, so the server's outbuf
+  // passes the 4 KiB pause threshold and its reads of this
+  // connection stop.
+  const std::uint64_t paused_before = counter("server.reads_paused");
+  server::Client slow(srv.port());
+  constexpr std::uint64_t kWave = 48;
+  for (std::uint64_t i = 0; i < kWave; ++i) slow.send_get(i, "big");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (counter("server.reads_paused") == paused_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(counter("server.reads_paused"), paused_before);
+  // Wave 2 sits unread in the kernel while the connection is paused.
+  for (std::uint64_t i = kWave; i < 2 * kWave; ++i) slow.send_get(i, "big");
+
+  // Every other connection keeps round-tripping meanwhile.
+  for (int c = 0; c < 4; ++c) {
+    server::Client fast(srv.port());
+    const std::string key = "fast-" + std::to_string(c);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(fast.put(key, "", "y", 2, resp));
+      ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+      ASSERT_TRUE(fast.get(key, resp));
+      ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+    }
+  }
+  // Draining resumes the reads: both waves arrive, complete and in
+  // request order.
+  for (std::uint64_t i = 0; i < 2 * kWave; ++i) {
+    ASSERT_TRUE(slow.read_response(/*is_get=*/true, resp)) << i;
+    ASSERT_EQ(resp.request_id, i);
+    ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+    ASSERT_EQ(resp.values.size(), 1u);
+    ASSERT_EQ(resp.values[0], big) << i;
+  }
+  srv.stop();
+#endif
+}
+
+TEST_F(ServerTest, RoundTripsNeedNoInterestChangeAndOneWriteEach) {
+#if defined(DVV_OBS_DISABLED)
+  GTEST_SKIP() << "syscalls are counted by server.* metrics";
+#else
+  const MetricsOn metrics;
+  server::Client client(port());
+  const std::uint64_t interest_before = counter("server.interest_updates");
+  const std::uint64_t writes_before = counter("server.write_calls");
+  const std::uint64_t responses_before = counter("server.responses_sent");
+  server::Response resp;
+  for (int i = 0; i < 50; ++i) {
+    // Scattered keys: both inline and cross-shard completions.
+    const std::string key = "rt-" + std::to_string(i % 10);
+    ASSERT_TRUE(client.put(key, "", "v", 1, resp));
+    ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+    ASSERT_TRUE(client.get(key, resp));
+    ASSERT_EQ(resp.status, server::ResponseStatus::kOk);
+  }
+  const std::uint64_t responses = counter("server.responses_sent") - responses_before;
+  EXPECT_EQ(responses, 100u);
+  EXPECT_EQ(counter("server.interest_updates"), interest_before);
+  EXPECT_LE(counter("server.write_calls") - writes_before, responses);
+#endif
 }
 
 TEST_F(ServerTest, ManyConcurrentClientConnections) {

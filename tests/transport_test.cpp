@@ -3,10 +3,16 @@
 // SimTransport's seeded fault injection (drop / duplicate / reorder /
 // partition), and the cluster-level flows that ride on it — queued
 // replication windows, ack-guarded hint delivery, partitioned sync
-// sessions.
+// sessions — and ThreadedTransport's hosted-mode wake contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstddef>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kv/client.hpp"
@@ -14,6 +20,7 @@
 #include "kv/mechanism.hpp"
 #include "net/message.hpp"
 #include "net/sim_transport.hpp"
+#include "net/threaded_transport.hpp"
 #include "net/transport.hpp"
 
 namespace {
@@ -28,6 +35,8 @@ using dvv::net::InlineTransport;
 using dvv::net::Message;
 using dvv::net::SimTransport;
 using dvv::net::SimTransportConfig;
+using dvv::net::ThreadedTransport;
+using dvv::net::ThreadedTransportConfig;
 
 // ---- message codec ---------------------------------------------------------
 
@@ -413,6 +422,136 @@ TEST(ClusterTransport, DuplicatedDeliveriesAreIdempotent) {
   }
   // Nothing left to repair: duplicate deliveries did not fork state.
   EXPECT_EQ(cluster.anti_entropy(), 0u);
+}
+
+// ---- ThreadedTransport, hosted mode ----------------------------------------
+
+/// Two hosted shards whose wake hooks count instead of writing an
+/// eventfd; the test thread plays the host and pumps by hand.
+struct CountingHost {
+  CountingHost() : transport(ThreadedTransportConfig{2}) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      transport.set_wake_hook(s, [this, s] { wakes[s].fetch_add(1); });
+    }
+  }
+  ThreadedTransport transport;
+  std::atomic<int> wakes[2] = {0, 0};
+};
+
+TEST(ThreadedTransportHosted, WakesOncePerEmptyToNonEmptyEdge) {
+  CountingHost host;
+  int delivered = 0;
+  host.transport.set_sink([&](const Envelope&) { ++delivered; });
+  // Nodes 0, 2, 4 all live in shard 0.
+  for (int i = 0; i < 5; ++i) host.transport.send(1, 2 * i % 6, probe("n"));
+  EXPECT_EQ(host.wakes[0].load(), 1) << "one wake for the whole run";
+  EXPECT_EQ(host.wakes[1].load(), 0);
+  EXPECT_EQ(host.transport.pump_shard(0), 5u);
+  EXPECT_EQ(delivered, 5);
+
+  host.transport.send(1, 0, probe("n"));
+  EXPECT_EQ(host.wakes[0].load(), 2) << "the drained inbox wakes again";
+  host.transport.post(0, [] {});
+  EXPECT_EQ(host.wakes[0].load(), 2);
+  EXPECT_EQ(host.transport.pump_shard(0), 2u);
+  EXPECT_TRUE(host.transport.idle());
+  EXPECT_EQ(host.transport.stats().sent, 6u);
+  EXPECT_EQ(host.transport.stats().wire_bytes,
+            6 * dvv::net::encode_to_bytes(probe("n")).size());
+}
+
+TEST(ThreadedTransportHosted, EntryEnqueuedDuringAPumpStillWakes) {
+  CountingHost host;
+  std::vector<dvv::net::NodeId> seen;
+  host.transport.set_sink([&](const Envelope& e) {
+    seen.push_back(e.to);
+    // A delivery that sends onward into its own shard, mid-pump.
+    if (e.to == 0) host.transport.send(0, 2, probe("onward"));
+  });
+  host.transport.send(1, 0, probe("first"));
+  ASSERT_EQ(host.wakes[0].load(), 1);
+  EXPECT_EQ(host.transport.pump_shard(0), 1u) << "a pump runs only its swap";
+  EXPECT_EQ(host.wakes[0].load(), 2) << "the onward entry found the inbox empty";
+  EXPECT_EQ(host.transport.in_flight(), 1u);
+  // The same holds for a posted closure that posts again.
+  host.transport.post(1, [&host] { host.transport.post(1, [] {}); });
+  ASSERT_EQ(host.wakes[1].load(), 1);
+  EXPECT_EQ(host.transport.pump_shard(1), 1u);
+  EXPECT_EQ(host.wakes[1].load(), 2);
+  EXPECT_EQ(host.transport.pump_shard(0), 1u);
+  EXPECT_EQ(host.transport.pump_shard(1), 1u);
+  EXPECT_TRUE(host.transport.idle());
+  EXPECT_EQ(seen, (std::vector<dvv::net::NodeId>{0, 2}));
+}
+
+TEST(ThreadedTransportHosted, MultiProducerStressReachesQuiescence) {
+  // Host threads follow the contract: consume the wake, then pump.  A
+  // lost wake would strand entries, so idle() would never read true.
+  // Closures rather than messages: the encode/decode pools are
+  // deliberately leaky thread_locals, and the wake path is the same.
+  constexpr std::size_t kShards = 2;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 4000;
+  ThreadedTransport transport(ThreadedTransportConfig{kShards});
+  struct WakeFlag {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool raised = false;
+  };
+  WakeFlag flags[kShards];
+  for (std::size_t s = 0; s < kShards; ++s) {
+    transport.set_wake_hook(s, [&flag = flags[s]] {
+      const std::lock_guard<std::mutex> lock(flag.mutex);
+      flag.raised = true;
+      flag.cv.notify_one();
+    });
+  }
+  std::atomic<bool> halt{false};
+  std::vector<std::thread> hosts;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    hosts.emplace_back([&, s] {
+      WakeFlag& flag = flags[s];
+      while (true) {
+        {
+          std::unique_lock<std::mutex> lock(flag.mutex);
+          flag.cv.wait(lock, [&] { return flag.raised || halt.load(); });
+          if (!flag.raised) return;  // halted with no wake pending
+          flag.raised = false;       // drain BEFORE the pump
+        }
+        (void)transport.pump_shard(s);
+      }
+    });
+  }
+  std::atomic<int> ran{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&transport, &ran, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const std::size_t shard = static_cast<std::size_t>(p + i) % kShards;
+        const bool cascade = i % 2 == 0;
+        transport.post(shard, [&transport, &ran, shard, cascade] {
+          ran.fetch_add(1);
+          // Enqueued from a host thread mid-pump, into the other shard.
+          if (cascade) transport.post(1 - shard, [&ran] { ran.fetch_add(1); });
+        });
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!transport.idle() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool reached = transport.idle();
+  if (reached) transport.quiesce();
+  halt.store(true);
+  for (WakeFlag& flag : flags) {
+    const std::lock_guard<std::mutex> lock(flag.mutex);
+    flag.cv.notify_one();
+  }
+  for (std::thread& t : hosts) t.join();
+  ASSERT_TRUE(reached) << "entries stranded: " << transport.in_flight();
+  EXPECT_EQ(ran.load(), kProducers * kPerProducer * 3 / 2);
 }
 
 }  // namespace
