@@ -108,8 +108,10 @@ Row run_one(const char* name, std::size_t divergence_pct) {
   for (std::size_t i = 0; i < diverged; ++i) {
     const Key key = key_name(order[i]);
     writer.get(key);
-    writer.put_via(key, cluster.preference_list(key)[0],
-                   "new" + std::string(kValueBytes, 'y'), {});
+    dvv::kv::WriteOptions coordinator_only;
+    coordinator_only.coordinator = cluster.preference_list(key)[0];
+    coordinator_only.replicate_to.emplace();
+    writer.put(key, "new" + std::string(kValueBytes, 'y'), coordinator_only);
   }
 
   Row row;

@@ -160,9 +160,10 @@ Row run_workload(bool inline_transport, std::size_t quorum, double drop,
     dvv::kv::WriteOptions wopts;
     wopts.write_quorum = quorum;
     wopts.deadline_ticks = kDeadlineTicks;
-    const std::uint64_t wid =
-        cluster.begin_write(key, coordinator, dvv::kv::client_actor(0), ctx,
-                            "w" + std::to_string(op), pref, wopts);
+    wopts.coordinator = coordinator;
+    wopts.replicate_to = pref;
+    const std::uint64_t wid = cluster.begin_write(
+        key, dvv::kv::client_actor(0), ctx, "w" + std::to_string(op), wopts);
     issue_tick[wid] = pumps;
     kind[wid] = false;
     ++row.requests;
@@ -170,8 +171,8 @@ Row run_workload(bool inline_transport, std::size_t quorum, double drop,
     if (rng.chance(0.5)) {
       dvv::kv::ReadOptions ropts;
       ropts.deadline_ticks = kDeadlineTicks;
-      const std::uint64_t rid =
-          cluster.begin_read_at(key, coordinator, quorum, ropts);
+      ropts.coordinator = coordinator;
+      const std::uint64_t rid = cluster.begin_read(key, quorum, ropts);
       issue_tick[rid] = pumps;
       kind[rid] = true;
       ++row.requests;

@@ -150,7 +150,10 @@ std::uint64_t run_writes(Cluster<DvvMechanism>& cluster, std::size_t ops,
       DVV_ASSERT_MSG(receipt.acks() == pref.size(),
                      "direct-calls protocol twin must see every ack");
     } else {
-      cluster.put(key, coordinator, dvv::kv::client_actor(0), ctx, value, pref);
+      // Default fan-out: the key's full preference list.
+      dvv::kv::WriteOptions opts;
+      opts.coordinator = coordinator;
+      cluster.put(key, dvv::kv::client_actor(0), ctx, value, opts);
       cluster.pump_all();  // no-op on inline; drains the queued variant
     }
   }
@@ -308,8 +311,10 @@ Row bench_partition(std::size_t partition_ops) {
     const Key key = "key-" + std::to_string(rng.index(kPartitionKeys));
     const auto pref = cluster.preference_list(key);
     const auto ctx = cluster.get(key, pref[0]).context;
-    const auto receipt = cluster.put(key, pref[0], dvv::kv::client_actor(0), ctx,
-                                     "w" + std::to_string(i), pref);
+    dvv::kv::WriteOptions opts;
+    opts.coordinator = pref[0];
+    const auto receipt =
+        cluster.put(key, dvv::kv::client_actor(0), ctx, "w" + std::to_string(i), opts);
     fanout_suppressed += (pref.size() - 1) - receipt.replicated_to;
     cluster.pump();
   }

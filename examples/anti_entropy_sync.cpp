@@ -67,7 +67,10 @@ int main() {
 
   // Meanwhile Bob, who read the OLD state long ago, writes through the
   // second replica only (his message to the others is lost).
-  bob.put_via(key, pref[1], "count=95(bob)", {});
+  dvv::kv::WriteOptions second_only;
+  second_only.coordinator = pref[1];
+  second_only.replicate_to.emplace();  // no fan-out
+  bob.put(key, "count=95(bob)", second_only);
   survey("after Bob's concurrent, partially delivered write:", cluster, key);
 
   // The dead replica recovers, still holding stale data.

@@ -89,12 +89,15 @@ class Shell {
       if (!(in >> client >> key >> value)) return usage(cmd);
       auto& s = session(client);
       if (cmd == "blind") s.forget(key);
-      const auto coordinator = cluster_.default_coordinator(key);
-      if (!coordinator.has_value()) {
+      // Sloppy quorum at the default coordinator: dead preference
+      // members get hints parked on fallback servers.
+      dvv::kv::WriteOptions sloppy;
+      sloppy.hinted_handoff = true;
+      const auto receipt = s.put(key, value, sloppy);
+      if (receipt.unavailable) {
         std::printf("unavailable: every replica for %s is down\n", key.c_str());
         return true;
       }
-      const auto receipt = s.put_with_handoff(key, *coordinator, value);
       std::printf("stored via server %s (replicated to %zu)\n",
                   dvv::kv::actor_name(receipt.coordinator).c_str(),
                   receipt.replicated_to);

@@ -92,11 +92,11 @@ void run_scenario(Store& store, const char* title) {
   laptop.get(key);
   // ...then race their writes through the SAME coordinator (the paper's
   // Fig. 1 situation: concurrent client updates at one server).
-  const auto coordinator = store.default_coordinator(key).value();
-  const auto pref = store.preference_list(key);
-  phone.put_via(key, coordinator, add_item(read_cart(store, key), "headphones"),
-                pref);
-  laptop.put_via(key, coordinator, "book,socks", pref);
+  dvv::kv::WriteOptions same_server;
+  same_server.coordinator = store.default_coordinator(key).value();
+  same_server.replicate_to = store.preference_list(key);
+  phone.put(key, add_item(read_cart(store, key), "headphones"), same_server);
+  laptop.put(key, "book,socks", same_server);
 
   store.anti_entropy();
   print_cart("carts after the race + replica sync:", store, key);

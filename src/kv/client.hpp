@@ -48,28 +48,11 @@ class ClientSession {
   }
 
   /// PUT with the remembered context (empty if this session never read
-  /// the key — a blind write).  Returns the cluster receipt.
-  typename Cluster<M>::PutReceipt put(const Key& key, Value value) {
-    const Context ctx = context_for(key);
-    return cluster_->put(key, id_, ctx, std::move(value));
-  }
-
-  /// PUT with explicit routing (coordinator + replication fan-out),
-  /// still using the remembered context.
-  typename Cluster<M>::PutReceipt put_via(const Key& key, ReplicaId coordinator,
-                                          Value value,
-                                          const std::vector<ReplicaId>& replicate_to) {
-    const Context ctx = context_for(key);
-    return cluster_->put(key, coordinator, id_, ctx, std::move(value), replicate_to);
-  }
-
-  /// PUT through the sloppy quorum: dead preference members get hints
-  /// parked on fallback servers (Cluster::put_with_handoff).
-  typename Cluster<M>::PutReceipt put_with_handoff(const Key& key,
-                                                   ReplicaId coordinator,
-                                                   Value value) {
-    const Context ctx = context_for(key);
-    return cluster_->put_with_handoff(key, coordinator, id_, ctx, std::move(value));
+  /// the key — a blind write); `opts` routes it (Cluster::put).
+  /// Returns the cluster receipt.
+  typename Cluster<M>::PutReceipt put(const Key& key, Value value,
+                                      const WriteOptions& opts = {}) {
+    return cluster_->put(key, id_, context_for(key), std::move(value), opts);
   }
 
   /// Read-modify-write: GET, apply `f` to the sibling values, PUT the

@@ -32,9 +32,9 @@
 // reads scatter CoordReadReqMsg and merge the first R distinct replies,
 // writes fan out CoordWriteReqMsg and count distinct acks toward W,
 // with tick deadlines and late/duplicate/stale reply hygiene.  The
-// synchronous get_quorum/put/put_with_handoff calls are thin shims:
-// start a request, settle the transport, force-complete whatever has
-// not answered, harvest the receipt.  begin_read/begin_write expose the
+// synchronous get_quorum/put calls are thin shims: start a request,
+// settle the transport, force-complete whatever has not answered,
+// harvest the receipt.  begin_read/begin_write expose the
 // asynchronous form, so many client operations can be IN FLIGHT at once
 // across partitions, reorderings and crashes (sim/sim_store.hpp,
 // workload/replay.hpp).  Cluster::get stays the raw single-replica
@@ -225,9 +225,9 @@ class Cluster {
 
   /// Runs `fn` inside replica `r`'s serial execution domain: on the
   /// owner shard's thread (blocking the caller) when the transport is
-  /// threaded, inline otherwise.  The door for client operations —
-  /// put_direct / raw get against a live sharded cluster must go
-  /// through here (or already be running on the owner shard).
+  /// threaded, inline otherwise.  The door for client operations — a
+  /// W=1 put / raw get against a live sharded cluster must go through
+  /// here (or already be running on the owner shard).
   template <typename Fn>
   void run_at(ReplicaId r, Fn&& fn) {
     if (threaded_ != nullptr) {
@@ -387,254 +387,90 @@ class Cluster {
     return harvest_read(*b.engine, b.id);
   }
 
-  /// PUT coordinated by `coordinator` on behalf of `client`, carrying the
-  /// client's causal context: the synchronous shim over begin_write.
-  /// The coordinator applies locally, the CoordWriteReqMsg fan-out is
-  /// SENT to every alive replica in `replicate_to` (the caller decides
-  /// the fan-out, possibly dropping some to model replication lag), the
-  /// transport settles, and whatever has not acked by then is finalized
-  /// out of the receipt.  With the inline transport the merges AND acks
-  /// happen before this returns, in send order — the direct-call
-  /// semantics, byte for byte; with a queued transport the messages are
-  /// in flight until pump(), and the receipt counts sends, not
-  /// deliveries (acks land as late replies and are dropped by the
-  /// engine's hygiene).
-  PutReceipt put(const Key& key, ReplicaId coordinator, ClientId client,
-                 const Context& ctx, Value value,
-                 const std::vector<ReplicaId>& replicate_to) {
-    return harvest_write(
-        engine_for(coordinator),
-        begin_write(key, coordinator, client, ctx, std::move(value), replicate_to));
-  }
-
-  /// Convenience PUT: default coordinator, full immediate replication.
-  /// When the whole preference list is down the receipt comes back
-  /// `unavailable` — an error result, not a crashed process.
-  PutReceipt put(const Key& key, ClientId client, const Context& ctx, Value value) {
-    const std::optional<ReplicaId> coord = default_coordinator(key);
+  /// PUT on behalf of `client`, carrying the client's causal context:
+  /// the synchronous shim over begin_write, and the only synchronous
+  /// write.  The coordinator (opts.coordinator, default: the key's first
+  /// alive preference member) applies locally and the CoordWriteReqMsg
+  /// fan-out is SENT to every alive, reachable target (opts.replicate_to,
+  /// default: the key's replication targets; the caller may narrow it to
+  /// model replication lag), then the transport settles and whatever
+  /// has not acked is finalized out of the receipt.  With the inline
+  /// transport the merges AND acks happen before this returns, in send
+  /// order — the direct-call semantics, byte for byte; with a queued
+  /// transport the receipt counts sends, not deliveries.
+  ///
+  /// A W=1 write (opts.write_quorum == 1) completes on the local apply
+  /// and returns WITHOUT settling: the fan-out is fire-and-forget and
+  /// late acks are absorbed by the engine's stale-reply hygiene.  That
+  /// is the server write path (src/server): on a threaded transport it
+  /// runs inside the coordinator's serial domain (its shard thread, or
+  /// through run_at), where a settle would wait on the thread itself.
+  ///
+  /// When no coordinator can be resolved (the whole preference list is
+  /// down) the receipt comes back `unavailable` — an error result, not
+  /// a crashed process — and no engine request is started.
+  PutReceipt put(const Key& key, ClientId client, const Context& ctx, Value value,
+                 const WriteOptions& opts = {}) {
+    const std::optional<ReplicaId> coord =
+        opts.coordinator.has_value() ? opts.coordinator : default_coordinator(key);
     if (!coord.has_value()) {
       PutReceipt receipt;
       receipt.unavailable = true;
       receipt.outcome = CoordOutcome::kUnavailable;
       return receipt;
     }
-    return put(key, *coord, client, ctx, std::move(value),
-               replication_targets(key));
-  }
-
-  /// Single-round PUT at an explicit coordinator with W = 1: the
-  /// coordinator's local apply completes the request synchronously, the
-  /// replication fan-out to the rest of the preference list is
-  /// fire-and-forget (late CoordWriteRespMsg acks are absorbed by the
-  /// engine's stale-reply hygiene), and the receipt is harvested before
-  /// returning — no transport settle, no coordination ticks.  THE
-  /// server write path (src/server): on a threaded transport this must
-  /// execute inside the coordinator's serial domain (already on its
-  /// shard thread, or through run_at), where the synchronous completion
-  /// makes the whole call shard-local.
-  PutReceipt put_direct(const Key& key, ReplicaId coordinator, ClientId client,
-                        const Context& ctx, Value value) {
-    WriteOptions opts;
-    opts.write_quorum = 1;
+    QuorumCoordinator<M>& eng = engine_for(*coord);
     const std::uint64_t id =
-        begin_write(key, coordinator, client, ctx, std::move(value),
-                    replication_targets(key), opts);
-    QuorumCoordinator<M>& eng = engine_for(coordinator);
+        scatter_write(key, *coord, client, ctx, std::move(value), opts);
+    if (opts.write_quorum != 1) return harvest_write(eng, id);
     DVV_ASSERT_MSG(eng.is_terminal(id),
                    "kv: a W=1 write must complete on its local apply");
     return take_write_from(eng, id);
   }
 
-  /// PUT with hinted handoff (Dynamo's sloppy quorum): like put(), but
-  /// for each DEAD preference-list member a HintMsg parks the write on
-  /// the next alive NON-preference server in ring order, tagged with
-  /// the intended owner.  Call deliver_hints() after recoveries to push
-  /// the parked writes home.  The receipt separates durability levels:
-  /// `replicated_to` counts real preference-list copies, `hinted`
-  /// counts parked fallback copies, and `unparked` counts dead members
-  /// NO alive fallback could cover — a write with unparked > 0 is below
-  /// its sloppy-quorum durability and the caller deserves to know
-  /// (tests/hinted_handoff_test.cpp: NowhereToParkIsReportedNotSilent).
-  PutReceipt put_with_handoff(const Key& key, ReplicaId coordinator, ClientId client,
-                              const Context& ctx, Value value) {
-    const auto pref = replication_targets(key);
-    std::vector<ReplicaId> alive_targets;
-    std::vector<ReplicaId> dead_owners;
-    for (const ReplicaId r : pref) {
-      (replicas_.at(r).alive() ? alive_targets : dead_owners).push_back(r);
-    }
-    QuorumCoordinator<M>& eng = engine_for(coordinator);
-    const std::uint64_t id =
-        begin_write(key, coordinator, client, ctx, std::move(value), alive_targets);
-    {
-      // A handoff put intends to cover the WHOLE preference list: dead
-      // members count as targets (a hint stands in for each), so the
-      // receipt's degraded verdict reflects sloppy-quorum durability.
-      PutReceipt& receipt = eng.write_receipt(id);
-      receipt.targets = 0;
-      for (const ReplicaId r : pref) {
-        if (r != coordinator) ++receipt.targets;
-      }
-    }
-    if (dead_owners.empty()) return harvest_write(eng, id);
-
-    const Stored* fresh = replicas_.at(coordinator).find(key);
-    DVV_ASSERT(fresh != nullptr);
-    const std::string encoded = Replica<M>::encode_state(*fresh);
-    // Non-owning alias, as in begin_write(): synchronous delivery only.
-    const std::shared_ptr<const void> decoded(std::shared_ptr<const void>{},
-                                              fresh);
-    const Ring& route = routing_ring(key);
-    const auto order = route.ring_order(key);
-    std::size_t next_fallback = route.replication();  // first non-pref slot
-    for (const ReplicaId owner : dead_owners) {
-      // Find the next alive fallback server the coordinator can REACH
-      // (distinct per owner so one fallback's crash cannot lose several
-      // owners' hints at once; a fallback across an active partition
-      // cannot accept the park and counts as unavailable).
-      while (next_fallback < order.size() &&
-             (!replicas_[order[next_fallback]].alive() ||
-              !transport_->link_up(coordinator, order[next_fallback]))) {
-        ++next_fallback;
-      }
-      PutReceipt& receipt = eng.write_receipt(id);
-      if (next_fallback >= order.size()) {
-        ++receipt.unparked;  // nowhere to park: report, don't hide
-        continue;
-      }
-      const net::Message& msg = net::fill_message<net::HintMsg>(
-          slots_for(coordinator).hint, [&](auto& out) {
-            out.owner = owner;
-            out.key = key;
-            out.state = encoded;
-          });
-      const std::size_t msg_bytes =
-          net::wire_size_of(std::get<net::HintMsg>(msg));
-      receipt.replication_bytes += msg_bytes;
-      ++receipt.hinted;
-      transport_->send(coordinator, order[next_fallback],
-                       net::borrow_message(msg), decoded, msg_bytes);
-      ++next_fallback;
-    }
-    return harvest_write(eng, id);
-  }
-
   // ---- asynchronous quorum coordination (src/kv/coordinator.hpp) ---------
   //
-  // The engine underneath get_quorum/put/put_with_handoff, exposed so
-  // callers can keep MANY client operations in flight at once: start
-  // requests, pump() the transport (each pump is one coordination tick,
-  // expiring deadlines), poll take_completed_requests(), harvest.
+  // The engine underneath get_quorum/put, exposed so callers can keep
+  // MANY client operations in flight at once: start requests, pump()
+  // the transport (each pump is one coordination tick, expiring
+  // deadlines), poll take_completed_requests(), harvest.
 
-  /// Starts a coordinated read at the key's first alive preference
-  /// member.  When the whole preference list is down the request
-  /// completes immediately as kUnavailable (harvest still works).
+  /// Starts a coordinated read at opts.coordinator (which must be
+  /// alive), default: the key's first alive preference member.  The
+  /// coordinator's own local read is the first reply, then
+  /// CoordReadReqMsg scatters to further alive, reachable preference
+  /// members until quorum + extra_scatter replicas have been asked —
+  /// stopping early if inline replies already completed the request,
+  /// which is exactly what keeps the shim byte-identical to the
+  /// pre-engine loop (tests/transport_equivalence_test.cpp).  When the
+  /// whole preference list is down the request completes immediately
+  /// as kUnavailable (harvest still works).
   [[nodiscard]] std::uint64_t begin_read(const Key& key, std::size_t quorum,
                                          const ReadOptions& opts = {}) {
     return begin_read_impl(key, quorum, opts).id;
   }
 
-  /// Starts a coordinated read with an explicit (alive) coordinator:
-  /// the coordinator's own local read is the first reply, then
-  /// CoordReadReqMsg scatters to further alive, reachable preference
-  /// members until quorum + extra_scatter replicas have been asked —
-  /// stopping early if inline replies already completed the request,
-  /// which is exactly what keeps the shim byte-identical to the
-  /// pre-engine loop (tests/transport_equivalence_test.cpp).
-  [[nodiscard]] std::uint64_t begin_read_at(const Key& key, ReplicaId coordinator,
-                                            std::size_t quorum,
-                                            const ReadOptions& opts = {}) {
-    DVV_ASSERT(replicas_.at(coordinator).alive());
-    QuorumCoordinator<M>& eng = engine_for(coordinator);
-    const std::uint64_t id = eng.start_read(key, coordinator, quorum, opts);
-    eng.note_read_asked(id);
-    if (eng.on_read_reply(id, coordinator, replicas_.at(coordinator).find(key),
-                          mechanism_)) {
-      maybe_read_repair(eng, id);
-      return id;
-    }
-    const std::size_t ask_limit = quorum + opts.extra_scatter;
-    std::size_t asked = 1;
-    // One fill serves every target — the request bytes do not depend
-    // on which replica receives them.
-    const net::Message* req_msg = nullptr;
-    std::size_t req_bytes = 0;
-    for (const ReplicaId r : preference_list(key)) {
-      if (asked >= ask_limit || eng.is_terminal(id)) break;
-      if (r == coordinator || !replicas_[r].alive()) continue;
-      if (!transport_->link_up(coordinator, r)) continue;
-      ++asked;
-      eng.note_read_asked(id);
-      if (req_msg == nullptr) {
-        req_msg = &net::fill_message<net::CoordReadReqMsg>(
-            slots_for(coordinator).read_req, [&](auto& out) {
-              out.req = id;
-              out.key = key;
-            });
-        req_bytes = net::wire_size_of(std::get<net::CoordReadReqMsg>(*req_msg));
-      }
-      transport_->send(coordinator, r, net::borrow_message(*req_msg), nullptr,
-                       req_bytes);
-    }
-    return id;
-  }
-
-  /// Starts a coordinated write: the coordinator applies locally (the
-  /// first ack), then one shared CoordWriteReqMsg fans out to every
-  /// alive, reachable non-coordinator target.  Completion bar: W =
+  /// Starts a coordinated write (see put() for the options): the
+  /// coordinator applies locally (the first ack), then one shared
+  /// CoordWriteReqMsg fans out to every alive, reachable
+  /// non-coordinator target, and with opts.hinted_handoff a HintMsg
+  /// parks the write for each dead one.  Completion bar: W =
   /// opts.write_quorum distinct acks (0 = all of coordinator + sends).
-  [[nodiscard]] std::uint64_t begin_write(const Key& key, ReplicaId coordinator,
-                                          ClientId client, const Context& ctx,
-                                          Value value,
-                                          const std::vector<ReplicaId>& replicate_to,
+  /// When no coordinator can be resolved the request completes
+  /// immediately as kUnavailable (harvest still works).
+  [[nodiscard]] std::uint64_t begin_write(const Key& key, ClientId client,
+                                          const Context& ctx, Value value,
                                           const WriteOptions& opts = {}) {
-    DVV_ASSERT(replicas_.at(coordinator).alive());
-    QuorumCoordinator<M>& eng = engine_for(coordinator);
-    Replica<M>& coord = replicas_.at(coordinator);
-    coord.put(mechanism_, key, coordinator, client, ctx, std::move(value));
-
+    const std::optional<ReplicaId> coord =
+        opts.coordinator.has_value() ? opts.coordinator : default_coordinator(key);
+    if (coord.has_value()) {
+      return scatter_write(key, *coord, client, ctx, std::move(value), opts);
+    }
+    QuorumCoordinator<M>& eng = engine_for(0);
     PutReceipt base;
-    base.coordinator = coordinator;
-    for (const ReplicaId r : replicate_to) {
-      if (r != coordinator) ++base.targets;
-    }
+    base.unavailable = true;
     const std::uint64_t id = eng.start_write(std::move(base), opts);
-    // The local apply is the first ack (it cannot complete the request:
-    // the quorum bar is sealed only after the scatter width is known).
-    (void)eng.on_write_ack(id, coordinator);
-
-    const Stored* fresh = coord.find(key);
-    DVV_ASSERT(fresh != nullptr);
-    // One message shared by the whole fan-out (the payload is identical
-    // per target).  The decoded fast path aliases the coordinator's
-    // live state WITHOUT owning it: valid for synchronous delivery
-    // only, which is exactly the envelope contract — a queuing
-    // transport serializes at send and drops the alias.
-    const net::Message* msg = nullptr;
-    std::shared_ptr<const void> decoded(std::shared_ptr<const void>{}, fresh);
-    std::size_t msg_bytes = 0;
-    for (const ReplicaId r : replicate_to) {
-      if (r == coordinator || !replicas_.at(r).alive()) continue;
-      // A target across an active partition is unreachable NOW and the
-      // coordinator knows it (the connection is refused): no message,
-      // and — receipt honesty — no replicated_to count.
-      if (!transport_->link_up(coordinator, r)) continue;
-      if (msg == nullptr) {
-        msg = &net::fill_message<net::CoordWriteReqMsg>(
-            slots_for(coordinator).write_req, [&](auto& out) {
-              out.req = id;
-              out.key = key;
-              Replica<M>::encode_state_into(*fresh, out.state);
-            });
-        msg_bytes = net::wire_size_of(std::get<net::CoordWriteReqMsg>(*msg));
-      }
-      PutReceipt& receipt = eng.write_receipt(id);
-      receipt.replication_bytes += msg_bytes;
-      ++receipt.replicated_to;
-      transport_->send(coordinator, r, net::borrow_message(*msg), decoded,
-                       msg_bytes);
-    }
-    (void)eng.seal_write_quorum(id);
+    (void)eng.finalize(id);  // nobody to coordinate: kUnavailable now
     return id;
   }
 
@@ -642,7 +478,7 @@ class Cluster {
   // request ids are engine-local (each shard's engine mints its own
   // slot|generation space), so a bare id is unambiguous only with one
   // shard.  Sharded callers use the paths that know their coordinator —
-  // put_direct, the sync shims, or code already on the owner shard.
+  // the synchronous shims, or code already on the owner shard.
 
   /// True while `id` names a live request (pending or terminal but not
   /// yet harvested).
@@ -1610,15 +1446,161 @@ class Cluster {
   };
   [[nodiscard]] Begun begin_read_impl(const Key& key, std::size_t quorum,
                                       const ReadOptions& opts) {
-    for (const ReplicaId r : preference_list(key)) {
-      if (replicas_[r].alive()) {
-        return {&engine_for(r), begin_read_at(key, r, quorum, opts)};
-      }
+    const std::optional<ReplicaId> coord =
+        opts.coordinator.has_value() ? opts.coordinator : default_coordinator(key);
+    if (coord.has_value()) {
+      return {&engine_for(*coord), scatter_read(key, *coord, quorum, opts)};
     }
     QuorumCoordinator<M>& eng = engine_for(0);
     const std::uint64_t id = eng.start_read(key, 0, quorum, opts);
     (void)eng.finalize(id);  // nobody to ask: kUnavailable now
     return {&eng, id};
+  }
+
+  /// The read scatter of begin_read at a resolved coordinator.
+  [[nodiscard]] std::uint64_t scatter_read(const Key& key, ReplicaId coordinator,
+                                           std::size_t quorum,
+                                           const ReadOptions& opts) {
+    DVV_ASSERT(replicas_.at(coordinator).alive());
+    QuorumCoordinator<M>& eng = engine_for(coordinator);
+    const std::uint64_t id = eng.start_read(key, coordinator, quorum, opts);
+    eng.note_read_asked(id);
+    if (eng.on_read_reply(id, coordinator, replicas_.at(coordinator).find(key),
+                          mechanism_)) {
+      maybe_read_repair(eng, id);
+      return id;
+    }
+    const std::size_t ask_limit = quorum + opts.extra_scatter;
+    std::size_t asked = 1;
+    // One fill serves every target — the request bytes do not depend
+    // on which replica receives them.
+    const net::Message* req_msg = nullptr;
+    std::size_t req_bytes = 0;
+    for (const ReplicaId r : preference_list(key)) {
+      if (asked >= ask_limit || eng.is_terminal(id)) break;
+      if (r == coordinator || !replicas_[r].alive()) continue;
+      if (!transport_->link_up(coordinator, r)) continue;
+      ++asked;
+      eng.note_read_asked(id);
+      if (req_msg == nullptr) {
+        req_msg = &net::fill_message<net::CoordReadReqMsg>(
+            slots_for(coordinator).read_req, [&](auto& out) {
+              out.req = id;
+              out.key = key;
+            });
+        req_bytes = net::wire_size_of(std::get<net::CoordReadReqMsg>(*req_msg));
+      }
+      transport_->send(coordinator, r, net::borrow_message(*req_msg), nullptr,
+                       req_bytes);
+    }
+    return id;
+  }
+
+  /// The write scatter of begin_write / put at a resolved coordinator:
+  /// local apply, CoordWriteReqMsg fan-out, quorum seal, then (with
+  /// hinted handoff) the hints — fan-out first, hints after, because a
+  /// fault-injecting transport draws its faults per send.
+  [[nodiscard]] std::uint64_t scatter_write(const Key& key, ReplicaId coordinator,
+                                            ClientId client, const Context& ctx,
+                                            Value value, const WriteOptions& opts) {
+    DVV_ASSERT(replicas_.at(coordinator).alive());
+    std::vector<ReplicaId> default_targets;
+    if (!opts.replicate_to.has_value()) default_targets = replication_targets(key);
+    const std::vector<ReplicaId>& targets =
+        opts.replicate_to.has_value() ? *opts.replicate_to : default_targets;
+    QuorumCoordinator<M>& eng = engine_for(coordinator);
+    Replica<M>& coord = replicas_.at(coordinator);
+    coord.put(mechanism_, key, coordinator, client, ctx, std::move(value));
+
+    PutReceipt base;
+    base.coordinator = coordinator;
+    for (const ReplicaId r : targets) {
+      if (r != coordinator) ++base.targets;
+    }
+    const std::uint64_t id = eng.start_write(std::move(base), opts);
+    // The local apply is the first ack (it cannot complete the request:
+    // the quorum bar is sealed only after the scatter width is known).
+    (void)eng.on_write_ack(id, coordinator);
+
+    const Stored* fresh = coord.find(key);
+    DVV_ASSERT(fresh != nullptr);
+    // One message shared by the whole fan-out (the payload is identical
+    // per target).  The decoded fast path aliases the coordinator's
+    // live state WITHOUT owning it: valid for synchronous delivery
+    // only, which is exactly the envelope contract — a queuing
+    // transport serializes at send and drops the alias.
+    const net::Message* msg = nullptr;
+    const std::shared_ptr<const void> decoded(std::shared_ptr<const void>{}, fresh);
+    std::size_t msg_bytes = 0;
+    bool dead_target = false;
+    for (const ReplicaId r : targets) {
+      if (r == coordinator) continue;
+      if (!replicas_.at(r).alive()) {
+        dead_target = true;
+        continue;
+      }
+      // A target across an active partition is unreachable NOW and the
+      // coordinator knows it (the connection is refused): no message,
+      // and — receipt honesty — no replicated_to count.
+      if (!transport_->link_up(coordinator, r)) continue;
+      if (msg == nullptr) {
+        msg = &net::fill_message<net::CoordWriteReqMsg>(
+            slots_for(coordinator).write_req, [&](auto& out) {
+              out.req = id;
+              out.key = key;
+              Replica<M>::encode_state_into(*fresh, out.state);
+            });
+        msg_bytes = net::wire_size_of(std::get<net::CoordWriteReqMsg>(*msg));
+      }
+      PutReceipt& receipt = eng.write_receipt(id);
+      receipt.replication_bytes += msg_bytes;
+      ++receipt.replicated_to;
+      transport_->send(coordinator, r, net::borrow_message(*msg), decoded,
+                       msg_bytes);
+    }
+    (void)eng.seal_write_quorum(id);
+    if (!opts.hinted_handoff || !dead_target) return id;
+
+    // The hints carry the fan-out's encoding; the state is encoded here
+    // only when nothing fanned out.
+    std::string encoded_here;
+    if (msg == nullptr) Replica<M>::encode_state_into(*fresh, encoded_here);
+    const std::string& encoded =
+        msg != nullptr ? std::get<net::CoordWriteReqMsg>(*msg).state : encoded_here;
+    const Ring& route = routing_ring(key);
+    const auto order = route.ring_order(key);
+    std::size_t next_fallback = route.replication();  // first non-pref slot
+    for (const ReplicaId owner : targets) {
+      if (owner == coordinator || replicas_.at(owner).alive()) continue;
+      // Find the next alive fallback server the coordinator can REACH
+      // (distinct per owner so one fallback's crash cannot lose several
+      // owners' hints at once; a fallback across an active partition
+      // cannot accept the park and counts as unavailable).
+      while (next_fallback < order.size() &&
+             (!replicas_[order[next_fallback]].alive() ||
+              !transport_->link_up(coordinator, order[next_fallback]))) {
+        ++next_fallback;
+      }
+      PutReceipt& receipt = eng.write_receipt(id);
+      if (next_fallback >= order.size()) {
+        ++receipt.unparked;  // nowhere to park: report, don't hide
+        continue;
+      }
+      const net::Message& hint = net::fill_message<net::HintMsg>(
+          slots_for(coordinator).hint, [&](auto& out) {
+            out.owner = owner;
+            out.key = key;
+            out.state = encoded;
+          });
+      const std::size_t hint_bytes =
+          net::wire_size_of(std::get<net::HintMsg>(hint));
+      receipt.replication_bytes += hint_bytes;
+      ++receipt.hinted;
+      transport_->send(coordinator, order[next_fallback],
+                       net::borrow_message(hint), decoded, hint_bytes);
+      ++next_fallback;
+    }
+    return id;
   }
 
   /// After a read request reaches a terminal state: if it asked for

@@ -52,6 +52,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,15 +115,34 @@ struct ReadOptions {
   /// Coordination ticks until the request times out with whatever
   /// replies arrived (one tick per Cluster::pump()).
   std::uint64_t deadline_ticks = 32;
+  /// The (alive) replica that coordinates; unset = the key's first
+  /// alive preference member.
+  std::optional<ReplicaId> coordinator;
 };
 
-/// Per-write tuning knobs (Cluster::begin_write).
+/// Per-write options (Cluster::begin_write / put).
 struct WriteOptions {
   /// Distinct acks (the coordinator's local apply counts as the first)
   /// that complete the write.  0 means "all": the coordinator plus
-  /// every fan-out message actually sent.
+  /// every fan-out message actually sent.  The synchronous put() of a
+  /// W=1 write returns on the local apply without settling the
+  /// transport: the fan-out stays in flight.
   std::size_t write_quorum = 0;
   std::uint64_t deadline_ticks = 32;
+  /// The (alive) replica that coordinates; unset = the key's first
+  /// alive preference member.
+  std::optional<ReplicaId> coordinator;
+  /// Fan-out targets; unset = the key's replication targets.  An
+  /// explicit empty list writes at the coordinator only.
+  std::optional<std::vector<ReplicaId>> replicate_to;
+  /// Dynamo's sloppy quorum: each DEAD target gets a HintMsg parked on
+  /// the next alive, reachable non-preference server in ring order
+  /// (Cluster::deliver_hints() pushes it home later).  Dead targets
+  /// still count in PutReceipt::targets, so the degraded verdict
+  /// reflects sloppy-quorum durability; PutReceipt::unparked counts the
+  /// dead targets no fallback could cover
+  /// (tests/hinted_handoff_test.cpp: NowhereToParkIsReportedNotSilent).
+  bool hinted_handoff = false;
 };
 
 /// What a coordinated PUT reports back.  Send-time fields are filled by

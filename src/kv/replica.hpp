@@ -374,11 +374,11 @@ class Replica {
   /// mints no fresh payload allocation per send — the scratch Writer and
   /// the destination both retain capacity.
   static void encode_state_into(const Stored& s, std::string& out) {
-    static thread_local codec::Writer* scratch = new codec::Writer;
-    scratch->clear();
-    codec::encode(*scratch, s);
-    out.assign(reinterpret_cast<const char*>(scratch->buffer().data()),
-               scratch->size());
+    static thread_local codec::Writer scratch;  // freed at thread exit
+    scratch.clear();
+    codec::encode(scratch, s);
+    out.assign(reinterpret_cast<const char*>(scratch.buffer().data()),
+               scratch.size());
   }
 
   /// Inverse of encode_state: decodes a wire payload (a quorum-read

@@ -48,24 +48,9 @@ class Session {
   }
 
   /// PUT with the remembered token (empty if this session never read
-  /// the key — a blind write).
-  StorePutResult put(const Key& key, Value value) {
-    return store_->put(key, id_, token_for(key), std::move(value));
-  }
-
-  /// PUT with explicit routing (coordinator + replication fan-out),
-  /// still using the remembered token.
-  StorePutResult put_via(const Key& key, ReplicaId coordinator, Value value,
-                         const std::vector<ReplicaId>& replicate_to) {
-    return store_->put_at(key, coordinator, id_, token_for(key),
-                          std::move(value), replicate_to);
-  }
-
-  /// PUT through the sloppy quorum (hints parked for dead members).
-  StorePutResult put_with_handoff(const Key& key, ReplicaId coordinator,
-                                  Value value) {
-    return store_->put_with_handoff(key, coordinator, id_, token_for(key),
-                                    std::move(value));
+  /// the key — a blind write); `opts` routes it (Store::put).
+  StorePutResult put(const Key& key, Value value, const WriteOptions& opts = {}) {
+    return store_->put(key, id_, token_for(key), std::move(value), opts);
   }
 
   /// Read-modify-write: GET, apply `f` to the sibling values, PUT the

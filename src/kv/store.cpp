@@ -142,32 +142,14 @@ class TypedStore final : public Store {
   }
 
   StorePutResult put(const Key& key, ClientId client, const CausalToken& token,
-                     Value value) override {
+                     Value value, const WriteOptions& opts) override {
     Context ctx;
     if (!decode_token(token, kId, ctx)) return note_put(bad_token_put());
     return note_put(
-        to_put_result(cluster_.put(key, client, ctx, std::move(value))));
+        to_put_result(cluster_.put(key, client, ctx, std::move(value), opts)));
   }
 
-  StorePutResult put_at(const Key& key, ReplicaId coordinator, ClientId client,
-                        const CausalToken& token, Value value,
-                        const std::vector<ReplicaId>& replicate_to) override {
-    Context ctx;
-    if (!decode_token(token, kId, ctx)) return note_put(bad_token_put());
-    return note_put(to_put_result(cluster_.put(key, coordinator, client, ctx,
-                                               std::move(value), replicate_to)));
-  }
-
-  StorePutResult put_with_handoff(const Key& key, ReplicaId coordinator,
-                                  ClientId client, const CausalToken& token,
-                                  Value value) override {
-    Context ctx;
-    if (!decode_token(token, kId, ctx)) return note_put(bad_token_put());
-    return note_put(to_put_result(cluster_.put_with_handoff(
-        key, coordinator, client, ctx, std::move(value))));
-  }
-
-  // ---- shard-per-thread server path --------------------------------------
+  // ---- shard-per-thread execution ----------------------------------------
 
   [[nodiscard]] std::size_t shard_count() const noexcept override {
     return cluster_.shard_count();
@@ -179,21 +161,6 @@ class TypedStore final : public Store {
     cluster_.run_at(r, fn);
   }
 
-  StorePutResult put_direct_local(const Key& key, ClientId client,
-                                  const CausalToken& token,
-                                  Value value) override {
-    Context ctx;
-    if (!decode_token(token, kId, ctx)) return note_put(bad_token_put());
-    const std::optional<ReplicaId> coord = cluster_.default_coordinator(key);
-    if (!coord.has_value()) return note_put(unavailable_put());
-    return note_put(to_put_result(
-        cluster_.put_direct(key, *coord, client, ctx, std::move(value))));
-  }
-
-  [[nodiscard]] StoreGetResult get_local(const Key& key) override {
-    return get(key, std::nullopt);
-  }
-
   // put_direct / get_direct resolve the coordinator on the CALLING
   // thread before hopping into its serial domain — the world-stop
   // inside a membership transition parks only shard threads, so a
@@ -202,16 +169,18 @@ class TypedStore final : public Store {
   // it shared (they never block each other), the control-plane
   // mutators below take it exclusive.  Shard threads never touch this
   // lock — their routing reads are already serialized by the
-  // world-stop itself (the dvvd path enters via *_local).
+  // world-stop itself (dvvd calls get / put directly).
 
   StorePutResult put_direct(const Key& key, ClientId client,
                             const CausalToken& token, Value value) override {
     std::shared_lock<std::shared_mutex> guard(routing_mu_);
-    const std::optional<ReplicaId> coord = cluster_.default_coordinator(key);
-    if (!coord.has_value()) return note_put(unavailable_put());
+    WriteOptions opts;
+    opts.write_quorum = 1;
+    opts.coordinator = cluster_.default_coordinator(key);
+    if (!opts.coordinator.has_value()) return note_put(unavailable_put());
     StorePutResult out;
-    cluster_.run_at(*coord, [&] {
-      out = put_direct_local(key, client, token, std::move(value));
+    cluster_.run_at(*opts.coordinator, [&] {
+      out = put(key, client, token, std::move(value), opts);
     });
     return out;
   }
@@ -225,7 +194,7 @@ class TypedStore final : public Store {
       return note_get(std::move(out));
     }
     StoreGetResult out;
-    cluster_.run_at(*coord, [&] { out = get_local(key); });
+    cluster_.run_at(*coord, [&] { out = get(key, coord); });
     return out;
   }
 
@@ -236,17 +205,9 @@ class TypedStore final : public Store {
     obs::store_metrics().begin_reads.inc();
     return cluster_.begin_read(key, quorum, opts);
   }
-  [[nodiscard]] std::uint64_t begin_read_at(const Key& key, ReplicaId coordinator,
-                                            std::size_t quorum,
-                                            const ReadOptions& opts) override {
-    obs::store_metrics().begin_reads.inc();
-    return cluster_.begin_read_at(key, coordinator, quorum, opts);
-  }
-  [[nodiscard]] StoreWriteBegin begin_write(
-      const Key& key, ReplicaId coordinator, ClientId client,
-      const CausalToken& token, Value value,
-      const std::vector<ReplicaId>& replicate_to,
-      const WriteOptions& opts) override {
+  [[nodiscard]] StoreWriteBegin begin_write(const Key& key, ClientId client,
+                                            const CausalToken& token, Value value,
+                                            const WriteOptions& opts) override {
     obs::store_metrics().begin_writes.inc();
     Context ctx;
     if (!decode_token(token, kId, ctx)) {
@@ -256,8 +217,7 @@ class TypedStore final : public Store {
     note_status(StoreStatus::kOk);
     return StoreWriteBegin{
         StoreStatus::kOk,
-        cluster_.begin_write(key, coordinator, client, ctx, std::move(value),
-                             replicate_to, opts)};
+        cluster_.begin_write(key, client, ctx, std::move(value), opts)};
   }
   [[nodiscard]] bool request_open(std::uint64_t id) const override {
     return cluster_.request_open(id);

@@ -23,7 +23,10 @@
 //     the asynchronous request engine, hinted handoff, both
 //     anti-entropy passes, transport faults, crash/recovery — is
 //     re-exposed through mechanism-independent types (kv/results.hpp,
-//     kv/coordinator.hpp).
+//     kv/coordinator.hpp);
+//   * writes start one way: begin_write, and put — its synchronous
+//     shim — take the same WriteOptions (coordinator, fan-out, hinted
+//     handoff, W); put_direct is put's any-thread door for W=1.
 //
 // The facade fully wraps Cluster<M> (store.cpp instantiates it for all
 // six mechanisms); a workload driven through Store with round-tripped
@@ -203,33 +206,26 @@ class Store {
   [[nodiscard]] virtual StoreGetResult get_quorum(const Key& key,
                                                   std::size_t quorum) = 0;
 
-  /// PUT with the client's token (empty = blind write): default
-  /// coordinator, full immediate replication.
+  /// PUT with the client's token (empty = blind write): the one
+  /// synchronous write, Cluster<M>::put behind the token boundary.
+  /// Default options route to the key's coordinator with full
+  /// replication; WriteOptions picks the coordinator, narrows the
+  /// fan-out, parks hints for dead members (hinted_handoff), or makes
+  /// it a W=1 write that returns on the local apply without settling —
+  /// the dvvd write, legal only inside the coordinator's serial domain
+  /// (its shard thread, a run_at closure) over a threaded transport.
   virtual StorePutResult put(const Key& key, ClientId client,
-                             const CausalToken& token, Value value) = 0;
+                             const CausalToken& token, Value value,
+                             const WriteOptions& opts = {}) = 0;
 
-  /// PUT with explicit routing (coordinator + replication fan-out).
-  virtual StorePutResult put_at(const Key& key, ReplicaId coordinator,
-                                ClientId client, const CausalToken& token,
-                                Value value,
-                                const std::vector<ReplicaId>& replicate_to) = 0;
-
-  /// PUT through the sloppy quorum (hints parked for dead members).
-  virtual StorePutResult put_with_handoff(const Key& key, ReplicaId coordinator,
-                                          ClientId client,
-                                          const CausalToken& token,
-                                          Value value) = 0;
-
-  // ---- shard-per-thread server path --------------------------------------
+  // ---- shard-per-thread execution ----------------------------------------
   //
-  // The dvvd request path.  Over a threaded transport every replica
-  // lives in exactly one shard's serial domain; the *_local entries
-  // below touch the coordinator replica directly and are therefore
-  // legal ONLY on the owning shard's thread (the server's event loop,
-  // a run_at closure).  The non-local spellings wrap themselves in
-  // run_at and may be called from any non-shard thread — tests and
-  // bench drivers.  Over an inline/sim transport there is one implicit
-  // shard and every spelling is legal everywhere.
+  // Over a threaded transport every replica lives in exactly one
+  // shard's serial domain.  dvvd's shard loops call get / put (W=1)
+  // directly on the owning shard; put_direct / get_direct are the same
+  // operations for any NON-shard thread — tests and bench drivers —
+  // wrapped in run_at.  Over an inline/sim transport there is one
+  // implicit shard and every spelling is legal everywhere.
 
   /// Shards in the execution domain (1 unless the transport is
   /// threaded), and the shard owning replica `r`.
@@ -238,22 +234,12 @@ class Store {
 
   /// Runs `fn` inside replica `r`'s serial domain and blocks until it
   /// ran (inline when single-domain).  Must not be called from a shard
-  /// thread — the server path uses the *_local entries instead.
+  /// thread.
   virtual void run_at(ReplicaId r, const std::function<void()>& fn) = 0;
 
-  /// W=1 coordinator-apply PUT: completes on the coordinator's local
-  /// apply, replication to the rest of the preference list is
-  /// fire-and-forget.  MUST run on the coordinator's shard.
-  virtual StorePutResult put_direct_local(const Key& key, ClientId client,
-                                          const CausalToken& token,
-                                          Value value) = 0;
-
-  /// Coordinator-local GET (no quorum round).  MUST run on the
-  /// coordinator's shard.
-  [[nodiscard]] virtual StoreGetResult get_local(const Key& key) = 0;
-
-  /// Blocking wrappers: route the op into the coordinator's shard via
-  /// run_at.  For tests and bench drivers on non-shard threads.
+  /// Blocking any-thread doors: resolve the key's coordinator under the
+  /// routing lock, then run a W=1 put / a coordinator get inside its
+  /// serial domain via run_at.
   virtual StorePutResult put_direct(const Key& key, ClientId client,
                                     const CausalToken& token, Value value) = 0;
   [[nodiscard]] virtual StoreGetResult get_direct(const Key& key) = 0;
@@ -263,13 +249,8 @@ class Store {
   [[nodiscard]] virtual std::uint64_t begin_read(const Key& key,
                                                  std::size_t quorum,
                                                  const ReadOptions& opts = {}) = 0;
-  [[nodiscard]] virtual std::uint64_t begin_read_at(
-      const Key& key, ReplicaId coordinator, std::size_t quorum,
-      const ReadOptions& opts = {}) = 0;
   [[nodiscard]] virtual StoreWriteBegin begin_write(
-      const Key& key, ReplicaId coordinator, ClientId client,
-      const CausalToken& token, Value value,
-      const std::vector<ReplicaId>& replicate_to,
+      const Key& key, ClientId client, const CausalToken& token, Value value,
       const WriteOptions& opts = {}) = 0;
   [[nodiscard]] virtual bool request_open(std::uint64_t id) const = 0;
   [[nodiscard]] virtual bool request_terminal(std::uint64_t id) const = 0;

@@ -751,13 +751,11 @@ template <typename T>
 /// Encodes `msg` into `out` via a persistent scratch writer: once both
 /// are warm (capacity >= frame size) this allocates nothing.
 inline void encode_into(const Message& msg, std::string& out) {
-  // Leaky thread_local scratch: shared_ptr releases during static
-  // destruction must never race a destroyed writer.
-  static thread_local codec::Writer* scratch = new codec::Writer;
-  scratch->clear();
-  encode(*scratch, msg);
-  out.assign(reinterpret_cast<const char*>(scratch->buffer().data()),
-             scratch->size());
+  static thread_local codec::Writer scratch;  // freed at thread exit
+  scratch.clear();
+  encode(scratch, msg);
+  out.assign(reinterpret_cast<const char*>(scratch.buffer().data()),
+             scratch.size());
 }
 
 /// Encodes `msg` to the byte string a Transport carries.
@@ -843,9 +841,15 @@ inline void note_decode_reject(std::size_t tag) {
 // the right alternative, so field assignment reuses string capacity),
 // recycled encode buffers, and a freelist arena for the shared_ptr
 // control blocks and SimTransport queue nodes the standard library
-// would otherwise heap-allocate per message.  Everything is
-// thread_local and leaked on purpose: a shared_ptr released during
-// static destruction must find its pool alive.
+// would otherwise heap-allocate per message.
+//
+// Each thread owns one NetPools, and pooled objects never cross
+// threads.  The pools are reference-counted: the thread holds one
+// reference until it exits, and every NetAllocator copy holds one —
+// each pooled handle's control block and each arena-backed container
+// carries one.  So the pools are freed when their thread exits or,
+// if a handle or container outlives the thread, when the last one
+// goes; a handle is never released into a freed pool.
 //
 // Pool misses surface as net.alloc.{messages,encode_buffers,envelopes}.
 
@@ -853,30 +857,98 @@ struct NetPools {
   util::FreelistArena arena;
   util::RecyclePool<Message> messages;
   util::RecyclePool<std::string> buffers;
+  std::size_t refs = 1;  ///< thread-confined like the pools: a plain count
 
   NetPools() {
     arena.set_miss_hook([] { obs::net_metrics().alloc_envelopes.inc(); });
     messages.set_miss_hook([] { obs::net_metrics().alloc_messages.inc(); });
     buffers.set_miss_hook([] { obs::net_metrics().alloc_encode_buffers.inc(); });
   }
+
+  void unref() noexcept {
+    if (--refs == 0) destroy();
+  }
+
+ private:
+  // Out of line so that inlined allocator copies and destructors do not
+  // show GCC's -Wuse-after-free analysis a delete it cannot prove is
+  // the last reference.
+  [[gnu::noinline]] void destroy() noexcept { delete this; }
 };
 
+/// The calling thread's pools.
 [[nodiscard]] inline NetPools& net_pools() {
-  static thread_local NetPools* pools = new NetPools;  // leaked by design
-  return *pools;
+  struct ThreadRef {
+    NetPools* pools = new NetPools;
+    ThreadRef() = default;
+    ThreadRef(const ThreadRef&) = delete;
+    ThreadRef& operator=(const ThreadRef&) = delete;
+    ~ThreadRef() { pools->unref(); }  // thread exit
+  };
+  static thread_local ThreadRef ref;
+  return *ref.pools;
 }
 
-/// shared_ptr deleter that parks the Message back in its pool,
-/// un-destructed, so its strings keep their capacity for the next use.
+/// std-allocator over a NetPools arena, for the fixed-size nodes the
+/// standard library allocates behind the hot path's back (shared_ptr
+/// control blocks, SimTransport queue nodes).  Every copy keeps the
+/// pools alive.
+template <typename T>
+class NetAllocator {
+ public:
+  using value_type = T;
+
+  explicit NetAllocator(NetPools& pools) noexcept : pools_(&pools) { ++pools_->refs; }
+  NetAllocator(const NetAllocator& other) noexcept : pools_(other.pools_) {
+    ++pools_->refs;
+  }
+  template <typename U>
+  NetAllocator(const NetAllocator<U>& other) noexcept  // NOLINT(google-explicit-constructor)
+      : pools_(&other.pools()) {
+    ++pools_->refs;
+  }
+  NetAllocator& operator=(const NetAllocator& other) noexcept {
+    if (this != &other) {
+      ++other.pools_->refs;
+      pools_->unref();
+      pools_ = other.pools_;
+    }
+    return *this;
+  }
+  ~NetAllocator() { pools_->unref(); }
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(pools_->arena.allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    pools_->arena.deallocate(p, n * sizeof(T));
+  }
+
+  [[nodiscard]] NetPools& pools() const noexcept { return *pools_; }
+
+  template <typename U>
+  [[nodiscard]] bool operator==(const NetAllocator<U>& other) const noexcept {
+    return pools_ == &other.pools();
+  }
+
+ private:
+  NetPools* pools_;
+};
+
+/// shared_ptr deleter that parks the Message back in the pool it came
+/// from, un-destructed, so its strings keep their capacity for the
+/// next use.  (The control block's allocator keeps that pool alive.)
 struct MessageRecycler {
+  NetPools* pools;
   void operator()(const Message* p) const noexcept {
-    net_pools().messages.release(const_cast<Message*>(p));
+    pools->messages.release(const_cast<Message*>(p));
   }
 };
 
 struct BufferRecycler {
+  NetPools* pools;
   void operator()(const std::string* p) const noexcept {
-    net_pools().buffers.release(const_cast<std::string*>(p));
+    pools->buffers.release(const_cast<std::string*>(p));
   }
 };
 
@@ -890,8 +962,8 @@ template <typename T, typename Fill>
   Message* slot = pools.messages.acquire();
   if (!std::holds_alternative<T>(*slot)) slot->emplace<T>();
   fill(std::get<T>(*slot));
-  return std::shared_ptr<const Message>(slot, MessageRecycler{},
-                                        util::ArenaAllocator<Message>(&pools.arena));
+  return std::shared_ptr<const Message>(slot, MessageRecycler{&pools},
+                                        NetAllocator<Message>(pools));
 }
 
 /// Wraps an already-built message in a recycled slot (the by-value
@@ -900,8 +972,8 @@ template <typename T, typename Fill>
   NetPools& pools = net_pools();
   Message* slot = pools.messages.acquire();
   *slot = std::move(msg);
-  return std::shared_ptr<const Message>(slot, MessageRecycler{},
-                                        util::ArenaAllocator<Message>(&pools.arena));
+  return std::shared_ptr<const Message>(slot, MessageRecycler{&pools},
+                                        NetAllocator<Message>(pools));
 }
 
 /// Fills a caller-kept Message slot with alternative T in place.
@@ -936,8 +1008,8 @@ const Message& fill_message(Message& slot, Fill&& fill) {
   NetPools& pools = net_pools();
   std::string* s = pools.buffers.acquire();
   s->clear();
-  return std::shared_ptr<std::string>(s, BufferRecycler{},
-                                      util::ArenaAllocator<std::string>(&pools.arena));
+  return std::shared_ptr<std::string>(s, BufferRecycler{&pools},
+                                      NetAllocator<std::string>(pools));
 }
 
 }  // namespace dvv::net

@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "net/transport.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace dvv::net {
@@ -60,7 +59,7 @@ class SimTransport final : public Transport {
       : config_(config),
         rng_(config.seed),
         queue_(std::less<QueueKey>(),
-               QueueAllocator(&net_pools().arena)) {}
+               QueueAllocator(net_pools())) {}
 
   [[nodiscard]] const char* name() const noexcept override { return "sim"; }
 
@@ -154,7 +153,7 @@ class SimTransport final : public Transport {
 
   using QueueKey = std::pair<std::uint64_t, std::uint64_t>;
   using QueueEntry = std::pair<const QueueKey, Queued>;
-  using QueueAllocator = util::ArenaAllocator<QueueEntry>;
+  using QueueAllocator = NetAllocator<QueueEntry>;
 
   SimTransportConfig config_;
   util::Rng rng_;

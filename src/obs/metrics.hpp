@@ -140,7 +140,7 @@ struct WalMetrics {
 /// taxonomy (kBadToken included).  Bumped by kv/store.cpp.
 struct StoreMetrics {
   MetricCounter gets;          ///< store.gets (get + get_quorum)
-  MetricCounter puts;          ///< store.puts (put/put_at/put_with_handoff)
+  MetricCounter puts;          ///< store.puts (put, put_direct)
   MetricCounter begin_reads;   ///< store.begin_reads
   MetricCounter begin_writes;  ///< store.begin_writes
   MetricCounter status_ok;           ///< store.status_ok

@@ -366,7 +366,7 @@ void Server::execute(const Request& req, std::string& out) {
   obs::ServerMetrics& met = obs::server_metrics();
   if (req.opcode == Opcode::kGet) {
     met.requests_get.inc();
-    const kv::StoreGetResult r = store_.get_local(req.key);
+    const kv::StoreGetResult r = store_.get(req.key);
     if (r.status == kv::StoreStatus::kOk) {
       encode_get_response(out, req.request_id, r.found, r.values, r.token);
     } else {
@@ -376,8 +376,10 @@ void Server::execute(const Request& req, std::string& out) {
   }
   met.requests_put.inc();
   const kv::CausalToken token = kv::CausalToken::from_bytes(req.token_bytes);
-  const kv::StorePutResult r = store_.put_direct_local(
-      req.key, kv::client_actor(req.client_id), token, req.value);
+  kv::WriteOptions opts;
+  opts.write_quorum = 1;
+  const kv::StorePutResult r =
+      store_.put(req.key, kv::client_actor(req.client_id), token, req.value, opts);
   switch (r.status) {
     case kv::StoreStatus::kOk:
       encode_put_response(out, req.request_id, r.receipt.replicated_to);

@@ -31,7 +31,7 @@
 //
 // Request routing.  A frame read on connection shard s parses on s.
 // If the key's coordinator replica lives in shard s, the operation
-// (Store::put_direct_local / get_local) runs inline; otherwise a
+// (Store::get, or Store::put as a W=1 write) runs inline; otherwise a
 // closure is posted to the owner shard t, runs the operation there,
 // and posts the encoded response back to s.  Responses are released
 // in REQUEST order per connection (a per-connection reorder buffer

@@ -175,7 +175,7 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
   };
 
   // GET: request leg to the chosen source replica, which then
-  // COORDINATES a quorum read (begin_read_at, R = config.read_quorum).
+  // COORDINATES a quorum read (begin_read, R = config.read_quorum).
   // R = 1 completes at the source's local read on the spot; R > 1 puts
   // CoordReadReqMsg scatter and replies in flight on the same faulty
   // queues as replication — finish_get resumes the cycle whenever the
@@ -206,8 +206,8 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
       }
       kv::ReadOptions ropts;
       ropts.deadline_ticks = kNoTickDeadline;
-      const std::uint64_t id =
-          store.begin_read_at(state.key, source, config.read_quorum, ropts);
+      ropts.coordinator = source;
+      const std::uint64_t id = store.begin_read(state.key, config.read_quorum, ropts);
       m_in_flight_peak.set_max(static_cast<double>(store.requests_in_flight()));
       if (store.request_terminal(id)) {  // R=1: the local read sufficed
         finish_get(c, id, source);
@@ -310,9 +310,10 @@ SimStoreResult simulate_store(const SimStoreConfig& config) {
       kv::WriteOptions opts;
       opts.write_quorum = config.write_quorum;
       opts.deadline_ticks = kNoTickDeadline;
+      opts.coordinator = coordinator;
+      opts.replicate_to = pref;
       const kv::StoreWriteBegin begun =
-          store.begin_write(cs.key, coordinator, kv::client_actor(c), cs.token,
-                            value, pref, opts);
+          store.begin_write(cs.key, kv::client_actor(c), cs.token, value, opts);
       // The simulator only ferries tokens the store itself minted, so a
       // rejection here would be a harness bug, not client weather.
       DVV_ASSERT_MSG(begun.ok(), "simulate_store: own token rejected");

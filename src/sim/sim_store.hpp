@@ -26,7 +26,7 @@
 // are the wire-visible token sizes, headers included.
 //
 // Client operations are REAL coordinator requests (src/kv/coordinator):
-// a GET is begin_read_at (R distinct replies complete it), a PUT is
+// a GET is begin_read (R distinct replies complete it), a PUT is
 // begin_write (W distinct acks complete it; the coordinator's local
 // apply is the first, so R = W = 1 reproduces the historical
 // coordinator-local behavior).  Scatter, replies and acks are queued

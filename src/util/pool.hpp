@@ -1,10 +1,9 @@
 // dvv/util/pool.hpp
 //
 // Allocation recycling for the hot message path: a size-class freelist
-// arena, a std-allocator adapter over it, and an object pool that
-// recycles instances WITHOUT destroying them (so a recycled
-// std::string / std::vector keeps its capacity and the next user's
-// assign() is a memcpy, not an allocation).
+// arena and an object pool that recycles instances WITHOUT destroying
+// them (so a recycled std::string / std::vector keeps its capacity and
+// the next user's assign() is a memcpy, not an allocation).
 //
 // This extends the util/flat_map idea — keep the hot path's memory
 // traffic linear and reuse what was already paid for — from container
@@ -121,40 +120,6 @@ class FreelistArena {
 
   FreeNode* free_[kClasses] = {};
   AllocHook miss_hook_ = nullptr;
-};
-
-/// std-allocator adapter over a FreelistArena, for the fixed-size nodes
-/// the standard library allocates behind the hot path's back:
-/// shared_ptr control blocks and ordered-map nodes.  The arena must
-/// outlive every container and every shared_ptr built with this.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(FreelistArena* arena) noexcept : arena_(arena) {}
-
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) noexcept  // NOLINT(google-explicit-constructor)
-      : arena_(other.arena()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, std::size_t n) noexcept {
-    arena_->deallocate(p, n * sizeof(T));
-  }
-
-  [[nodiscard]] FreelistArena* arena() const noexcept { return arena_; }
-
-  template <typename U>
-  [[nodiscard]] bool operator==(const ArenaAllocator<U>& other) const noexcept {
-    return arena_ == other.arena();
-  }
-
- private:
-  FreelistArena* arena_;
 };
 
 /// Object pool that recycles instances UN-destructed: release() parks

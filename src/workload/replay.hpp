@@ -65,6 +65,27 @@ struct ReplayStats {
   std::size_t final_total_bytes = 0;
 };
 
+/// The write a trace PUT asks for: coordinated at `coordinator`
+/// (resolved from `pref`, the key's preference list), through the
+/// sloppy quorum over the full replication targets when the trace uses
+/// hinted handoff, else fanned out to the op's sampled preference
+/// ranks.
+[[nodiscard]] inline kv::WriteOptions trace_write_options(
+    const TraceOp& op, const std::vector<kv::ReplicaId>& pref,
+    kv::ReplicaId coordinator, bool hinted_handoff) {
+  kv::WriteOptions opts;
+  opts.coordinator = coordinator;
+  opts.hinted_handoff = hinted_handoff;
+  if (!hinted_handoff) {
+    opts.replicate_to.emplace();
+    opts.replicate_to->reserve(op.replicate_ranks.size());
+    for (const std::size_t r : op.replicate_ranks) {
+      opts.replicate_to->push_back(pref.at(r));
+    }
+  }
+  return opts;
+}
+
 template <kv::CausalityMechanism M>
 class Replayer {
  public:
@@ -109,8 +130,8 @@ class Replayer {
           // a put issued meanwhile genuinely races this read.
           kv::ReadOptions opts;
           opts.deadline_ticks = deadline_ticks_;
-          const std::uint64_t id =
-              cluster_->begin_read_at(op.key, source, read_quorum_, opts);
+          opts.coordinator = source;
+          const std::uint64_t id = cluster_->begin_read(op.key, read_quorum_, opts);
           pending_reads_[id] = op.client;
           note_in_flight();
           break;
@@ -137,40 +158,23 @@ class Replayer {
         const kv::ReplicaId coordinator = resolve_alive(pref, op.rank);
         if (op.blind) sessions_[op.client].forget(op.key);
         ++stats_.puts;
+        kv::WriteOptions opts =
+            trace_write_options(op, pref, coordinator, hinted_handoff_);
         // Sloppy-quorum puts stay synchronous even in async replays:
         // hint parking is coordinator-side scatter, not a client wait.
         if (async_ && !hinted_handoff_) {
-          std::vector<kv::ReplicaId> replicate_to;
-          replicate_to.reserve(op.replicate_ranks.size());
-          for (const std::size_t r : op.replicate_ranks) {
-            replicate_to.push_back(pref.at(r));
-          }
-          kv::WriteOptions opts;
           opts.write_quorum = write_quorum_;
           opts.deadline_ticks = deadline_ticks_;
           const std::uint64_t id = cluster_->begin_write(
-              op.key, coordinator, kv::client_actor(op.client),
-              sessions_[op.client].context_for(op.key), op.value, replicate_to,
-              opts);
+              op.key, kv::client_actor(op.client),
+              sessions_[op.client].context_for(op.key), op.value, opts);
           stats_.put_replication_bytes.add(static_cast<double>(
               cluster_->peek_write_receipt(id).replication_bytes));
           pending_writes_.push_back(id);
           note_in_flight();
           break;
         }
-        typename kv::Cluster<M>::PutReceipt receipt;
-        if (hinted_handoff_) {
-          receipt =
-              sessions_[op.client].put_with_handoff(op.key, coordinator, op.value);
-        } else {
-          std::vector<kv::ReplicaId> replicate_to;
-          replicate_to.reserve(op.replicate_ranks.size());
-          for (const std::size_t r : op.replicate_ranks) {
-            replicate_to.push_back(pref.at(r));
-          }
-          receipt = sessions_[op.client].put_via(op.key, coordinator, op.value,
-                                                 replicate_to);
-        }
+        const auto receipt = sessions_[op.client].put(op.key, op.value, opts);
         stats_.put_replication_bytes.add(
             static_cast<double>(receipt.replication_bytes));
         break;
@@ -373,8 +377,8 @@ class StoreReplayer {
         if (async_) {
           kv::ReadOptions opts;
           opts.deadline_ticks = deadline_ticks_;
-          const std::uint64_t id =
-              store_->begin_read_at(op.key, source, read_quorum_, opts);
+          opts.coordinator = source;
+          const std::uint64_t id = store_->begin_read(op.key, read_quorum_, opts);
           pending_reads_[id] = op.client;
           note_in_flight();
           break;
@@ -392,19 +396,14 @@ class StoreReplayer {
         const kv::ReplicaId coordinator = resolve_alive(pref, op.rank);
         if (op.blind) sessions_[op.client].forget(op.key);
         ++stats_.puts;
+        kv::WriteOptions opts =
+            trace_write_options(op, pref, coordinator, hinted_handoff_);
         if (async_ && !hinted_handoff_) {
-          std::vector<kv::ReplicaId> replicate_to;
-          replicate_to.reserve(op.replicate_ranks.size());
-          for (const std::size_t r : op.replicate_ranks) {
-            replicate_to.push_back(pref.at(r));
-          }
-          kv::WriteOptions opts;
           opts.write_quorum = write_quorum_;
           opts.deadline_ticks = deadline_ticks_;
           const kv::StoreWriteBegin begun = store_->begin_write(
-              op.key, coordinator, kv::client_actor(op.client),
-              sessions_[op.client].token_for(op.key), op.value, replicate_to,
-              opts);
+              op.key, kv::client_actor(op.client),
+              sessions_[op.client].token_for(op.key), op.value, opts);
           // Sessions only ferry tokens this store minted; a rejection
           // here would be a replayer bug, not trace weather.
           DVV_ASSERT_MSG(begun.ok(), "StoreReplayer: own token rejected");
@@ -414,19 +413,8 @@ class StoreReplayer {
           note_in_flight();
           break;
         }
-        kv::StorePutResult result;
-        if (hinted_handoff_) {
-          result =
-              sessions_[op.client].put_with_handoff(op.key, coordinator, op.value);
-        } else {
-          std::vector<kv::ReplicaId> replicate_to;
-          replicate_to.reserve(op.replicate_ranks.size());
-          for (const std::size_t r : op.replicate_ranks) {
-            replicate_to.push_back(pref.at(r));
-          }
-          result = sessions_[op.client].put_via(op.key, coordinator, op.value,
-                                                replicate_to);
-        }
+        const kv::StorePutResult result =
+            sessions_[op.client].put(op.key, op.value, opts);
         DVV_ASSERT_MSG(result.status != kv::StoreStatus::kBadToken,
                        "StoreReplayer: own token rejected");
         stats_.put_replication_bytes.add(

@@ -57,7 +57,7 @@ struct Trace {
   /// sessions plus one fresh anonymous identity per blind write (the
   /// Riak-classic "short-lived writer" population).
   std::size_t clients = 0;
-  /// When set, PUTs use the sloppy quorum (Cluster::put_with_handoff)
+  /// When set, PUTs use the sloppy quorum (WriteOptions::hinted_handoff)
   /// and recoveries trigger hint delivery.
   bool hinted_handoff = false;
   /// When set, kFail/kRecover are TRUE crashes: volatile state dropped,
@@ -65,7 +65,7 @@ struct Trace {
   /// of waking up with memory intact.
   bool crash_faults = false;
   /// When set, kGet/kPut are issued as ASYNCHRONOUS coordinator
-  /// requests (Cluster::begin_read_at / begin_write with the quorums
+  /// requests (Cluster::begin_read / begin_write with the quorums
   /// below): operations stay in flight across subsequent ops, kTick
   /// events pump the transport and expire deadlines, and completions
   /// are harvested as they land — concurrent client operations on an

@@ -24,6 +24,7 @@
 #include "kv/cluster.hpp"
 #include "kv/mechanism.hpp"
 #include "util/rng.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -105,8 +106,8 @@ void run_workload(Cluster<M>& cluster, std::uint64_t seed) {
       (void)session.get(key, alive_pref[rng.index(alive_pref.size())]);
     } else if (kind < 0.55) {
       // Sloppy-quorum write: dead preference members get hints parked.
-      session.put_with_handoff(key, alive_pref[rng.index(alive_pref.size())],
-                               "h" + std::to_string(op));
+      session.put(key, "h" + std::to_string(op),
+                  dvv::test::handoff(alive_pref[rng.index(alive_pref.size())]));
     } else {
       // Partial replication: each non-coordinator alive member has a
       // 50% chance of receiving the write now — the divergence source.
@@ -115,7 +116,8 @@ void run_workload(Cluster<M>& cluster, std::uint64_t seed) {
       for (const ReplicaId r : alive_pref) {
         if (r != coord && rng.chance(0.5)) replicate_to.push_back(r);
       }
-      session.put_via(key, coord, "v" + std::to_string(op), replicate_to);
+      session.put(key, "v" + std::to_string(op),
+                  dvv::test::routed(coord, replicate_to));
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include "kv/client.hpp"
 #include "kv/mechanism.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -118,7 +119,7 @@ TEST(Cluster, PartialReplicationDivergesThenAntiEntropyConverges) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   // Write lands only on the coordinator (empty replicate_to).
-  alice.put_via(key, pref[0], "only-here", {});
+  alice.put(key, "only-here", dvv::test::routed(pref[0], {}));
   EXPECT_TRUE(cluster.get(key, pref[0]).found);
   EXPECT_FALSE(cluster.get(key, pref[1]).found);
 
@@ -138,8 +139,8 @@ TEST(Cluster, AntiEntropyConvergesDivergentSiblings) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   // Two writes land on two different replicas only: divergence.
-  alice.put_via(key, pref[0], "at-0", {});
-  bob.put_via(key, pref[1], "at-1", {});
+  alice.put(key, "at-0", dvv::test::routed(pref[0], {}));
+  bob.put(key, "at-1", dvv::test::routed(pref[1], {}));
 
   cluster.anti_entropy();
   for (const ReplicaId r : pref) {
@@ -162,8 +163,8 @@ TEST(Cluster, QuorumReadMergesDivergentReplicas) {
 
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  alice.put_via(key, pref[0], "at-0", {});
-  bob.put_via(key, pref[1], "at-1", {});
+  alice.put(key, "at-0", dvv::test::routed(pref[0], {}));
+  bob.put(key, "at-1", dvv::test::routed(pref[1], {}));
 
   // A single-replica read sees one value; a quorum read sees both.
   EXPECT_EQ(cluster.get(key, pref[0]).values.size(), 1u);
@@ -358,7 +359,7 @@ TYPED_TEST(ClusterMechanismTest, AntiEntropyConvergesAllReplicas) {
   Cluster<TypeParam> cluster(small_config(), {});
   ClientSession<TypeParam> alice(dvv::kv::client_actor(0), cluster);
   const auto pref = cluster.preference_list("k");
-  alice.put_via("k", pref[0], "v", {});
+  alice.put("k", "v", dvv::test::routed(pref[0], {}));
   cluster.anti_entropy();
   for (const ReplicaId r : pref) {
     EXPECT_TRUE(cluster.get("k", r).found);

@@ -43,6 +43,7 @@
 #include "util/rng.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -142,18 +143,19 @@ void run_concurrent(Cluster<M>& cluster, std::uint64_t seed) {
     dvv::kv::WriteOptions wopts;
     wopts.write_quorum = 3;
     wopts.deadline_ticks = 3;  // short: timeouts are common, on purpose
+    wopts.coordinator = coordinator;
+    wopts.replicate_to = cluster.preference_list(key);
     in_flight.emplace_back(
-        cluster.begin_write(key, coordinator, dvv::kv::client_actor(client), ctx,
-                            "w" + std::to_string(op), cluster.preference_list(key),
-                            wopts),
+        cluster.begin_write(key, dvv::kv::client_actor(client), ctx,
+                            "w" + std::to_string(op), wopts),
         false);
 
     if (rng.chance(0.5)) {
       // A concurrent quorum read whose replies race everything above.
       dvv::kv::ReadOptions ropts;
       ropts.deadline_ticks = 2 + rng.index(4);
-      in_flight.emplace_back(
-          cluster.begin_read_at(key, coordinator, 3, ropts), true);
+      ropts.coordinator = coordinator;
+      in_flight.emplace_back(cluster.begin_read(key, 3, ropts), true);
     }
     drain_completed();
   }
@@ -185,8 +187,8 @@ void run_twin(Cluster<M>& cluster, std::uint64_t seed) {
     const bool rmw = rng.chance(0.7);
     typename M::Context ctx{};
     if (rmw) ctx = cluster.get(key, coordinator).context;
-    cluster.put(key, coordinator, dvv::kv::client_actor(client), ctx,
-                "w" + std::to_string(op), cluster.preference_list(key));
+    cluster.put(key, dvv::kv::client_actor(client), ctx, "w" + std::to_string(op),
+                dvv::test::routed(coordinator, cluster.preference_list(key)));
     if (rng.chance(0.5)) {
       (void)rng.index(4);  // the faulted run's read deadline draw
     }

@@ -18,6 +18,7 @@
 #include "kv/mechanism.hpp"
 #include "net/sim_transport.hpp"
 #include "net/transport.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -94,7 +95,9 @@ TEST(Coordinator, QuorumReadCompletesWithExactResponderSet) {
   alice.put("k", "v");
   const auto pref = cluster.preference_list("k");
 
-  const std::uint64_t id = cluster.begin_read_at("k", pref[0], 2);
+  dvv::kv::ReadOptions opts;
+  opts.coordinator = pref[0];
+  const std::uint64_t id = cluster.begin_read("k", 2, opts);
   ASSERT_TRUE(cluster.request_terminal(id)) << "inline replies are immediate";
   const auto harvest = cluster.take_read_result(id);
   EXPECT_EQ(harvest.outcome, CoordOutcome::kQuorum);
@@ -111,9 +114,10 @@ TEST(Coordinator, WriteQuorumCountsDistinctAcks) {
   const auto pref = cluster.preference_list(key);
   dvv::kv::WriteOptions opts;
   opts.write_quorum = 2;
+  opts.coordinator = pref[0];
+  opts.replicate_to = pref;
   const std::uint64_t id =
-      cluster.begin_write(key, pref[0], dvv::kv::client_actor(0), {}, "v",
-                          pref, opts);
+      cluster.begin_write(key, dvv::kv::client_actor(0), {}, "v", opts);
   EXPECT_FALSE(cluster.request_terminal(id))
       << "W=2 needs one remote ack; everything is still queued";
   cluster.pump_all();  // fan-out lands, acks ride back
@@ -137,7 +141,9 @@ TEST(Coordinator, CoordDupReplyCountsOnce) {
   cluster.pump_all();
 
   const auto pref = cluster.preference_list("k");
-  const std::uint64_t id = cluster.begin_read_at("k", pref[0], 3);
+  dvv::kv::ReadOptions ropts;
+  ropts.coordinator = pref[0];
+  const std::uint64_t id = cluster.begin_read("k", 3, ropts);
   cluster.pump_all();
   ASSERT_TRUE(cluster.request_terminal(id));
   const auto harvest = cluster.take_read_result(id);
@@ -154,9 +160,10 @@ TEST(Coordinator, CoordDupReplyCountsOnce) {
   // twice and acks twice — the quorum still counts each replica once.
   dvv::kv::WriteOptions opts;
   opts.write_quorum = 3;
+  opts.coordinator = pref[0];
+  opts.replicate_to = pref;
   const std::uint64_t wid =
-      cluster.begin_write("k", pref[0], dvv::kv::client_actor(0), {}, "w",
-                          pref, opts);
+      cluster.begin_write("k", dvv::kv::client_actor(0), {}, "w", opts);
   cluster.pump_all();
   ASSERT_TRUE(cluster.request_terminal(wid));
   const auto receipt = cluster.take_write_receipt(wid);
@@ -180,7 +187,8 @@ TEST(Coordinator, DeadlineExpiresPendingRequestAsDegradedTimeout) {
   const std::size_t timeouts_before = cluster.coord_stats().timeouts;
   dvv::kv::ReadOptions opts;
   opts.deadline_ticks = 2;
-  const std::uint64_t id = cluster.begin_read_at("k", pref[0], 3, opts);
+  opts.coordinator = pref[0];
+  const std::uint64_t id = cluster.begin_read("k", 3, opts);
   EXPECT_FALSE(cluster.request_terminal(id));
   cluster.pump();  // tick 1
   EXPECT_FALSE(cluster.request_terminal(id));
@@ -209,7 +217,8 @@ TEST(Coordinator, LateReplyCannotCorruptFinishedOrReusedSlot) {
   const auto pref_a = cluster.preference_list("a");
   dvv::kv::ReadOptions fast;
   fast.deadline_ticks = 1;
-  const std::uint64_t first = cluster.begin_read_at("a", pref_a[0], 3, fast);
+  fast.coordinator = pref_a[0];
+  const std::uint64_t first = cluster.begin_read("a", 3, fast);
   cluster.pump();  // deadline: completes as timeout, replies still in flight
   ASSERT_TRUE(cluster.request_terminal(first));
   const auto timed_out = cluster.take_read_result(first);
@@ -219,7 +228,8 @@ TEST(Coordinator, LateReplyCannotCorruptFinishedOrReusedSlot) {
   const auto pref_b = cluster.preference_list("b");
   dvv::kv::ReadOptions patient;
   patient.deadline_ticks = 64;
-  const std::uint64_t second = cluster.begin_read_at("b", pref_b[0], 3, patient);
+  patient.coordinator = pref_b[0];
+  const std::uint64_t second = cluster.begin_read("b", 3, patient);
   EXPECT_EQ(RequestTable::slot_of(first), RequestTable::slot_of(second))
       << "the test must actually exercise slot reuse";
   ASSERT_NE(first, second);
@@ -256,6 +266,52 @@ TEST(Coordinator, WholePreferenceListDownCompletesUnavailable) {
   EXPECT_EQ(harvest.result.replies, 0u);
 }
 
+// The synchronous put() shim's rules, on a transport that queues every
+// send and drains only when settled: a W=1 put returns on its local
+// apply WITHOUT settling (the dvvd write: on a shard thread a settle
+// would wait on the thread itself), every other put settles before it
+// returns, and a put with no coordinator to resolve is unavailable
+// without starting an engine request.
+TEST(Coordinator, PutSettlesUnlessW1AndStartsNothingWhenUnavailable) {
+  ClusterConfig cfg = sim_config();
+  cfg.transport.sim.auto_settle = true;
+  Cluster<DvvMechanism> cluster(cfg, {});
+  const Key key = "k";
+  const auto pref = cluster.preference_list(key);
+
+  dvv::kv::WriteOptions w1;
+  w1.write_quorum = 1;
+  const auto fast = cluster.put(key, dvv::kv::client_actor(0), {}, "v1", w1);
+  EXPECT_EQ(fast.outcome, CoordOutcome::kQuorum);
+  EXPECT_EQ(fast.acked_by, (std::vector<ReplicaId>{pref[0]}));
+  EXPECT_EQ(fast.replicated_to, pref.size() - 1);
+  EXPECT_GT(cluster.transport().in_flight(), 0u)
+      << "a W=1 put must leave its fan-out in flight";
+  cluster.pump_all();
+
+  const auto settled = cluster.put(key, dvv::kv::client_actor(0), {}, "v2");
+  EXPECT_EQ(settled.outcome, CoordOutcome::kQuorum);
+  EXPECT_EQ(settled.acks(), pref.size());
+  EXPECT_EQ(cluster.transport().in_flight(), 0u)
+      << "a default put returns with the transport settled";
+
+  for (const ReplicaId r : pref) cluster.replica(r).set_alive(false);
+  const std::size_t started = cluster.coord_stats().writes_started;
+  const auto down = cluster.put(key, dvv::kv::client_actor(0), {}, "v3");
+  EXPECT_TRUE(down.unavailable);
+  EXPECT_EQ(down.outcome, CoordOutcome::kUnavailable);
+  EXPECT_EQ(cluster.coord_stats().writes_started, started)
+      << "an unresolvable put must not start an engine request";
+
+  // The asynchronous form still hands back a harvestable request.
+  const std::uint64_t id =
+      cluster.begin_write(key, dvv::kv::client_actor(0), {}, "v4");
+  ASSERT_TRUE(cluster.request_terminal(id));
+  const auto receipt = cluster.take_write_receipt(id);
+  EXPECT_TRUE(receipt.unavailable);
+  EXPECT_EQ(receipt.outcome, CoordOutcome::kUnavailable);
+}
+
 TEST(Coordinator, ReadRepairScattersMergedStateToDivergentResponders) {
   Cluster<DvvMechanism> cluster(inline_config(), {});
   ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
@@ -263,12 +319,13 @@ TEST(Coordinator, ReadRepairScattersMergedStateToDivergentResponders) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   // Divergence: two sibling writes on two different replicas only.
-  alice.put_via(key, pref[0], "at-0", {});
-  bob.put_via(key, pref[1], "at-1", {});
+  alice.put(key, "at-0", dvv::test::routed(pref[0], {}));
+  bob.put(key, "at-1", dvv::test::routed(pref[1], {}));
 
   dvv::kv::ReadOptions opts;
   opts.read_repair = true;
-  const std::uint64_t id = cluster.begin_read_at(key, pref[0], 3, opts);
+  opts.coordinator = pref[0];
+  const std::uint64_t id = cluster.begin_read(key, 3, opts);
   ASSERT_TRUE(cluster.request_terminal(id));
   const auto harvest = cluster.take_read_result(id);
   EXPECT_EQ(harvest.result.values.size(), 2u) << "the merge sees both siblings";
@@ -285,8 +342,8 @@ TEST(Coordinator, PlainGetQuorumDoesNotWriteBack) {
   ClientSession<DvvMechanism> bob(dvv::kv::client_actor(1), cluster);
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  alice.put_via(key, pref[0], "at-0", {});
-  bob.put_via(key, pref[1], "at-1", {});
+  alice.put(key, "at-0", dvv::test::routed(pref[0], {}));
+  bob.put(key, "at-1", dvv::test::routed(pref[1], {}));
 
   const auto merged = cluster.get_quorum(key, 3);
   EXPECT_EQ(merged.values.size(), 2u);

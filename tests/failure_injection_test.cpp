@@ -20,6 +20,7 @@
 #include "store/wal_backend.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -286,14 +287,16 @@ TEST(CrashMatrix, LossyRecoveryNeverReusesDots) {
 
   // Blind write v1 through pref[0]: dot (pref[0], 1) lands on pref[1]
   // too, but pref[0]'s own log never sees a flush.
-  cluster.put(key, pref[0], dvv::kv::client_actor(0), {}, "v1", {pref[1]});
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v1",
+              dvv::test::routed(pref[0], {pref[1]}));
   cluster.crash(pref[0]);
   (void)cluster.recover(pref[0]);
   EXPECT_EQ(cluster.replica(pref[0]).incarnation(), 1u) << "lossy rebirth";
 
   // Blind write v2 through the reborn pref[0].  Without the incarnation
   // bump this would be dot (pref[0], 1) again == v1's id at pref[1].
-  cluster.put(key, pref[0], dvv::kv::client_actor(1), {}, "v2", {pref[1]});
+  cluster.put(key, dvv::kv::client_actor(1), {}, "v2",
+              dvv::test::routed(pref[0], {pref[1]}));
 
   cluster.anti_entropy();
   for (const auto r : {pref[0], pref[1]}) {

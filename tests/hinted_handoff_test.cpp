@@ -10,6 +10,7 @@
 #include "kv/client.hpp"
 #include "kv/cluster.hpp"
 #include "kv/mechanism.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -31,7 +32,7 @@ TEST(HintedHandoff, NoDeadOwnersMeansNoHints) {
   Cluster<DvvMechanism> cluster(config(), {});
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   EXPECT_EQ(cluster.hinted_count(), 0u);
   for (const auto r : pref) EXPECT_TRUE(cluster.get(key, r).found);
 }
@@ -42,7 +43,7 @@ TEST(HintedHandoff, DeadOwnerGetsAHintParkedElsewhere) {
   const auto pref = cluster.preference_list(key);
   cluster.replica(pref[2]).set_alive(false);
 
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   EXPECT_EQ(cluster.hinted_count(), 1u);
   EXPECT_FALSE(cluster.get(key, pref[2]).found) << "owner is down";
   // The hint does not serve reads anywhere (non-owners don't expose it).
@@ -57,7 +58,7 @@ TEST(HintedHandoff, DeliveryAfterRecoveryFillsTheOwner) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   cluster.replica(pref[2]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
 
   // While the owner is down, delivery is a no-op.
   EXPECT_EQ(cluster.deliver_hints(), 0u);
@@ -81,13 +82,13 @@ TEST(HintedHandoff, LateDeliveryCannotResurrectOverwrittenData) {
   cluster.replica(pref[2]).set_alive(false);
   alice.get(key);
   const auto ctx1 = alice.context_for(key);
-  cluster.put_with_handoff(key, pref[0], alice.id(), ctx1, "v1");
+  cluster.put(key, alice.id(), ctx1, "v1", dvv::test::handoff(pref[0]));
   ASSERT_EQ(cluster.hinted_count(), 1u);
 
   // v1 is then overwritten by v2 (owner still down; another hint).
   alice.get(key);
   const auto ctx2 = alice.context_for(key);
-  cluster.put_with_handoff(key, pref[0], alice.id(), ctx2, "v2");
+  cluster.put(key, alice.id(), ctx2, "v2", dvv::test::handoff(pref[0]));
 
   // Owner recovers; the (merged) hint arrives late.
   cluster.replica(pref[2]).set_alive(true);
@@ -105,8 +106,8 @@ TEST(HintedHandoff, ConcurrentHintsMergeAsSiblingsAtTheOwner) {
   cluster.replica(pref[2]).set_alive(false);
 
   // Two blind racing writes through different coordinators, both hinted.
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "x");
-  cluster.put_with_handoff(key, pref[1], dvv::kv::client_actor(1), {}, "y");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "x", dvv::test::handoff(pref[0]));
+  cluster.put(key, dvv::kv::client_actor(1), {}, "y", dvv::test::handoff(pref[1]));
 
   cluster.replica(pref[2]).set_alive(true);
   cluster.deliver_hints();
@@ -122,7 +123,7 @@ TEST(HintedHandoff, RepeatedDeliveryIsIdempotent) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   cluster.replica(pref[2]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   cluster.replica(pref[2]).set_alive(true);
   cluster.deliver_hints();
   const auto before = cluster.footprint();
@@ -143,7 +144,7 @@ TEST(HintedHandoff, DeadFallbackDoesNotPushParkedHints) {
   const ReplicaId fallback = order[3];
 
   cluster.replica(pref[2]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   ASSERT_EQ(cluster.replica(fallback).hinted_count(), 1u);
 
   cluster.replica(fallback).set_alive(false);  // the fallback dies too
@@ -175,7 +176,7 @@ TEST(HintedHandoff, AaeFoldsParkedHintsIntoAliveOwners) {
     const Key key = "k";
     const auto pref = cluster.preference_list(key);
     cluster.replica(pref[2]).set_alive(false);  // long-dead owner
-    cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+    cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
     // Both owners that accepted the write crash with no durable log:
     // the parked hint is now the only surviving copy.
     cluster.crash(pref[0]);
@@ -231,7 +232,7 @@ TEST(HintedHandoff, FullSyncCarriesParkedHints) {
   const auto pref = cluster.preference_list(key);
   const auto order = cluster.ring().ring_order(key);
   cluster.replica(pref[2]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   ASSERT_EQ(cluster.replica(order[3]).hinted_count(), 1u);
 
   cluster.replica(order[3]).sync_with(cluster.mechanism(),
@@ -251,7 +252,7 @@ TEST(HintedHandoff, ReceiptSeparatesReplicasFromHints) {
   cluster.replica(pref[2]).set_alive(false);
 
   const auto receipt =
-      cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+      cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   EXPECT_EQ(receipt.replicated_to, 1u) << "one alive non-coordinator member";
   EXPECT_EQ(receipt.hinted, 1u) << "one dead member covered by a hint";
   EXPECT_EQ(receipt.unparked, 0u);
@@ -276,7 +277,7 @@ TEST(HintedHandoff, NowhereToParkIsReportedNotSilent) {
   }
 
   const auto receipt =
-      cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+      cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   EXPECT_EQ(receipt.replicated_to, 1u);
   EXPECT_EQ(receipt.hinted, 0u) << "no alive fallback to park on";
   EXPECT_EQ(receipt.unparked, 1u) << "the uncovered owner must be counted";
@@ -285,7 +286,7 @@ TEST(HintedHandoff, NowhereToParkIsReportedNotSilent) {
   // Two dead owners, zero fallbacks: both are reported.
   cluster.replica(pref[1]).set_alive(false);
   const auto receipt2 =
-      cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "w");
+      cluster.put(key, dvv::kv::client_actor(0), {}, "w", dvv::test::handoff(pref[0]));
   EXPECT_EQ(receipt2.replicated_to, 0u);
   EXPECT_EQ(receipt2.unparked, 2u);
 }
@@ -300,7 +301,7 @@ TEST(HintedHandoff, FallbackIsOutsideThePreferenceList) {
   EXPECT_EQ(std::vector<ReplicaId>(order.begin(), order.begin() + 3), pref);
 
   cluster.replica(pref[1]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   // The hint must be parked on order[3] (the first fallback).
   EXPECT_EQ(cluster.replica(order[3]).hinted_count(), 1u);
 }

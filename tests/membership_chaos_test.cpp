@@ -38,6 +38,7 @@
 #include "net/sim_transport.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -174,8 +175,8 @@ std::uint64_t run_storm(Cluster<M>& cluster, std::uint64_t seed, bool storm) {
     // mid-transfer — vacuous here, transitions complete inline): the
     // storm side replicates where the data lives today, the transfers
     // and the final digest pass are what carry it to the final owners.
-    cluster.put(key, coordinator, dvv::kv::client_actor(client), ctx,
-                "w" + std::to_string(op), cluster.replication_targets(key));
+    cluster.put(key, dvv::kv::client_actor(client), ctx, "w" + std::to_string(op),
+                dvv::test::routed(coordinator, cluster.replication_targets(key)));
   }
   return keys_shipped;
 }

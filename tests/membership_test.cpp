@@ -24,6 +24,7 @@
 #include "kv/mechanism.hpp"
 #include "kv/ring.hpp"
 #include "obs/obs.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -229,8 +230,9 @@ std::map<Key, std::string> seed_keys(Cluster<DvvMechanism>& cluster,
   for (std::size_t k = 0; k < n; ++k) {
     const Key key = "mem-" + std::to_string(k);
     const std::string value = "v" + std::to_string(k);
-    cluster.put(key, cluster.preference_list(key)[0], dvv::kv::client_actor(0),
-                {}, value, cluster.preference_list(key));
+    const auto pref = cluster.preference_list(key);
+    cluster.put(key, dvv::kv::client_actor(0), {}, value,
+                dvv::test::routed(pref[0], pref));
     written.emplace(key, value);
   }
   return written;
@@ -302,8 +304,8 @@ TEST(MembershipCluster, WritesDualApplyDuringTheTransferWindow) {
   EXPECT_EQ(std::find(pref.begin(), pref.end(), ReplicaId{4}), pref.end())
       << "routing must not flip before the walks complete";
 
-  cluster.put(*claimed, pref[0], dvv::kv::client_actor(1), {}, "mid-transfer",
-              cluster.replication_targets(*claimed));
+  cluster.put(*claimed, dvv::kv::client_actor(1), {}, "mid-transfer",
+              dvv::test::routed(pref[0], cluster.replication_targets(*claimed)));
   const auto at_new_owner = cluster.get(*claimed, 4);
   ASSERT_TRUE(at_new_owner.found) << "dual-apply missed the claiming owner";
   EXPECT_EQ(at_new_owner.values[0], "mid-transfer");
@@ -387,8 +389,8 @@ TEST(MembershipCluster, StaleOwnerHintIsRedirectedNotMisdelivered) {
   const ReplicaId victim = pref[2];
 
   cluster.replica(victim).set_alive(false);
-  const auto receipt = cluster.put_with_handoff(
-      key, pref[0], dvv::kv::client_actor(0), {}, "parked-write");
+  const auto receipt = cluster.put(key, dvv::kv::client_actor(0), {}, "parked-write",
+                                   dvv::test::handoff(pref[0]));
   ASSERT_EQ(receipt.hinted, 1u) << "the dead owner's copy must park";
   ASSERT_EQ(cluster.hinted_count(), 1u);
 

@@ -23,6 +23,7 @@
 #include "kv/token.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -329,17 +330,29 @@ void expect_rejected_without_mutation(Store& store, const Key& key,
   EXPECT_EQ(put.status, StoreStatus::kBadToken);
   EXPECT_EQ(put.receipt.targets, 0u) << "no write happened, so no receipt";
 
-  const auto put_at = store.put_at(key, 0, dvv::kv::client_actor(7), token,
-                                   "evil", store.preference_list(key));
+  const auto put_at =
+      store.put(key, dvv::kv::client_actor(7), token, "evil",
+                dvv::test::routed(0, store.preference_list(key)));
   EXPECT_EQ(put_at.status, StoreStatus::kBadToken);
 
-  const auto handoff =
-      store.put_with_handoff(key, 0, dvv::kv::client_actor(7), token, "evil");
+  const auto handoff = store.put(key, dvv::kv::client_actor(7), token, "evil",
+                                 dvv::test::handoff(0));
   EXPECT_EQ(handoff.status, StoreStatus::kBadToken);
 
+  // The dvvd write (W=1, returns on the local apply) and its any-thread
+  // door reject before touching a replica, like every other path.
+  dvv::kv::WriteOptions w1;
+  w1.write_quorum = 1;
+  const auto put_w1 = store.put(key, dvv::kv::client_actor(7), token, "evil", w1);
+  EXPECT_EQ(put_w1.status, StoreStatus::kBadToken);
+  EXPECT_EQ(put_w1.receipt.targets, 0u);
+  const auto direct = store.put_direct(key, dvv::kv::client_actor(7), token, "evil");
+  EXPECT_EQ(direct.status, StoreStatus::kBadToken);
+  EXPECT_EQ(direct.receipt.targets, 0u);
+
   const auto begun =
-      store.begin_write(key, 0, dvv::kv::client_actor(7), token, "evil",
-                        store.preference_list(key));
+      store.begin_write(key, dvv::kv::client_actor(7), token, "evil",
+                        dvv::test::routed(0, store.preference_list(key)));
   EXPECT_EQ(begun.status, StoreStatus::kBadToken);
   EXPECT_EQ(begun.id, dvv::kv::kInvalidRequestId)
       << "a rejected begin must not hand back an id that could alias a "

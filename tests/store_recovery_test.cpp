@@ -31,6 +31,7 @@
 #include "kv/mechanism.hpp"
 #include "store/backend.hpp"
 #include "util/rng.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -116,15 +117,16 @@ void run_workload(Cluster<M>& cluster, std::uint64_t seed, bool crash_faults,
     if (kind < 0.3) {
       (void)session.get(key, alive_pref[rng.index(alive_pref.size())]);
     } else if (kind < 0.55) {
-      session.put_with_handoff(key, alive_pref[rng.index(alive_pref.size())],
-                               "h" + std::to_string(op));
+      session.put(key, "h" + std::to_string(op),
+                  dvv::test::handoff(alive_pref[rng.index(alive_pref.size())]));
     } else {
       const ReplicaId coord = alive_pref[rng.index(alive_pref.size())];
       std::vector<ReplicaId> replicate_to;
       for (const ReplicaId r : alive_pref) {
         if (r != coord && rng.chance(0.5)) replicate_to.push_back(r);
       }
-      session.put_via(key, coord, "v" + std::to_string(op), replicate_to);
+      session.put(key, "v" + std::to_string(op),
+                  dvv::test::routed(coord, replicate_to));
     }
   }
 

@@ -19,6 +19,7 @@
 #include "sim/sim_store.hpp"
 #include "sync/key_digest.hpp"
 #include "sync/merkle.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -212,7 +213,7 @@ TEST(ClusterDigestSync, PairSessionRepairsDivergedKey) {
   ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  alice.put_via(key, pref[0], "only-here", {});  // lands on pref[0] only
+  alice.put(key, "only-here", dvv::test::routed(pref[0], {}));  // lands on pref[0] only
 
   const SyncStats stats = cluster.anti_entropy_digest_pair(pref[0], pref[1]);
   EXPECT_EQ(stats.keys_shipped, 1u);
@@ -234,8 +235,8 @@ TEST(ClusterDigestSync, FullDigestPassMatchesLegacyConvergence) {
   ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
   ClientSession<DvvMechanism> bob(dvv::kv::client_actor(1), cluster);
   const auto pref = cluster.preference_list("k");
-  alice.put_via("k", pref[0], "at-0", {});
-  bob.put_via("k", pref[1], "at-1", {});
+  alice.put("k", "at-0", dvv::test::routed(pref[0], {}));
+  bob.put("k", "at-1", dvv::test::routed(pref[1], {}));
 
   const auto report = cluster.anti_entropy_digest();
   EXPECT_GT(report.stats.keys_shipped, 0u);
@@ -272,7 +273,7 @@ TEST(ClusterDigestSync, DeadEndpointIsNoOp) {
   Cluster<DvvMechanism> cluster(small_config(), {});
   ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
   const auto pref = cluster.preference_list("k");
-  alice.put_via("k", pref[0], "v", {});
+  alice.put("k", "v", dvv::test::routed(pref[0], {}));
   cluster.replica(pref[1]).set_alive(false);
   const SyncStats stats = cluster.anti_entropy_digest_pair(pref[0], pref[1]);
   EXPECT_EQ(stats.rounds, 0u);
@@ -297,7 +298,7 @@ TEST(ClusterDigestSync, LegacyAntiEntropySkipsConvergedKeys) {
   ClientSession<DvvMechanism> alice(dvv::kv::client_actor(0), cluster);
   alice.put("a", "1");  // fully replicated: already converged
   const auto pref = cluster.preference_list("b");
-  alice.put_via("b", pref[0], "2", {});  // diverged: coordinator only
+  alice.put("b", "2", dvv::test::routed(pref[0], {}));  // diverged: coordinator only
 
   // Only the two replicas missing "b" get repaired: the coordinator
   // already holds the merged bytes and is not rewritten.

@@ -32,6 +32,7 @@
 #include "net/transport.hpp"
 #include "store/backend.hpp"
 #include "util/rng.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -107,8 +108,8 @@ std::vector<ReceiptRow> run_workload(Cluster<M>& cluster, std::uint64_t seed) {
     Context ctx{};
     if (rng.chance(0.7)) ctx = cluster.get(key, coordinator).context;
     const auto receipt =
-        cluster.put(key, coordinator, dvv::kv::client_actor(client), ctx,
-                    "w" + std::to_string(op), cluster.preference_list(key));
+        cluster.put(key, dvv::kv::client_actor(client), ctx, "w" + std::to_string(op),
+                    dvv::test::routed(coordinator, cluster.preference_list(key)));
     receipts.emplace_back(receipt.coordinator, receipt.targets,
                           receipt.replicated_to, receipt.hinted,
                           receipt.unparked, receipt.degraded, receipt.acks(),

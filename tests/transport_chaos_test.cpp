@@ -31,6 +31,7 @@
 #include "oracle/audit.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -116,8 +117,8 @@ void run_workload(Cluster<M>& cluster, std::uint64_t seed, bool chaos) {
       ctx = cluster.get(key, coordinator).context;
       contexts[{client, key}] = ctx;
     }
-    cluster.put(key, coordinator, dvv::kv::client_actor(client), ctx,
-                "w" + std::to_string(op), cluster.preference_list(key));
+    cluster.put(key, dvv::kv::client_actor(client), ctx, "w" + std::to_string(op),
+                dvv::test::routed(coordinator, cluster.preference_list(key)));
   }
 }
 

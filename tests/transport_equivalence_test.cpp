@@ -4,9 +4,10 @@
 // typed net messages on the inline transport) produces state
 // BYTE-IDENTICAL to the pre-refactor direct-call semantics, which this
 // test re-implements against the raw Replica methods exactly as
-// Cluster::put / put_with_handoff / deliver_hints used to: coordinator
-// apply, then merge_key on each alive target in order; stash_hint on
-// ring-order fallbacks; Replica::deliver_hints into alive owners.
+// Cluster::put (plain and hinted-handoff) / deliver_hints used to:
+// coordinator apply, then merge_key on each alive target in order;
+// stash_hint on ring-order fallbacks; Replica::deliver_hints into alive
+// owners.
 //
 // Both drivers run the same seeded chaotic script (pauses, partial
 // replication, sloppy-quorum writes, hint deliveries); state is
@@ -25,6 +26,7 @@
 #include "kv/mechanism.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -234,7 +236,7 @@ void run_direct(Cluster<M>& cluster, const std::vector<Step>& script,
         break;
       }
       case Step::Kind::kHandoffPut: {
-        // Old Cluster::put_with_handoff: alive members merge, dead
+        // Old hinted-handoff Cluster::put: alive members merge, dead
         // members' writes park on distinct ring-order fallbacks.
         const auto pref = cluster.preference_list(step.key);
         std::vector<ReplicaId> alive_targets;
@@ -323,14 +325,13 @@ void run_routed(Cluster<M>& cluster, const std::vector<Step>& script,
         break;
       }
       case Step::Kind::kPut:
-        observe(cluster.put(step.key, step.coordinator,
-                            dvv::kv::client_actor(step.client), {}, step.value,
-                            step.replicate_to));
+        observe(cluster.put(step.key, dvv::kv::client_actor(step.client), {},
+                            step.value,
+                            dvv::test::routed(step.coordinator, step.replicate_to)));
         break;
       case Step::Kind::kHandoffPut:
-        observe(cluster.put_with_handoff(step.key, step.coordinator,
-                                         dvv::kv::client_actor(step.client), {},
-                                         step.value));
+        observe(cluster.put(step.key, dvv::kv::client_actor(step.client), {},
+                            step.value, dvv::test::handoff(step.coordinator)));
         break;
     }
   }

@@ -22,6 +22,7 @@
 #include "net/sim_transport.hpp"
 #include "net/threaded_transport.hpp"
 #include "net/transport.hpp"
+#include "routed_write.hpp"
 
 namespace {
 
@@ -267,8 +268,8 @@ TEST(ClusterTransport, ReplicationWindowIsRealQueuedState) {
   Cluster<DvvMechanism> cluster(sim_cluster_config(), {});
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  cluster.put(key, pref[0], dvv::kv::client_actor(0), {}, "v",
-              cluster.preference_list(key));
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v",
+              dvv::test::routed(pref[0], cluster.preference_list(key)));
 
   EXPECT_TRUE(cluster.get(key, pref[0]).found) << "coordinator applied locally";
   EXPECT_FALSE(cluster.get(key, pref[1]).found) << "fan-out still in flight";
@@ -283,8 +284,8 @@ TEST(ClusterTransport, InFlightCopyDiesWithItsTarget) {
   Cluster<DvvMechanism> cluster(sim_cluster_config(), {});
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
-  cluster.put(key, pref[0], dvv::kv::client_actor(0), {}, "v",
-              cluster.preference_list(key));
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v",
+              dvv::test::routed(pref[0], cluster.preference_list(key)));
   // The target pauses while the message is in flight: a dead process
   // receives nothing.
   cluster.replica(pref[1]).set_alive(false);
@@ -301,7 +302,7 @@ TEST(ClusterTransport, HintStaysParkedUntilDeliveryIsAcked) {
   const auto pref = cluster.preference_list(key);
   const auto order = cluster.ring().ring_order(key);
   cluster.replica(pref[2]).set_alive(false);
-  cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "v");
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::handoff(pref[0]));
   cluster.pump_all();  // the HintMsg reaches the fallback
   ASSERT_EQ(cluster.hinted_count(), 1u);
 
@@ -327,7 +328,7 @@ TEST(ClusterTransport, PartitionedSyncRequestMeansNoSession) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   // Divergence: the write lands on the coordinator only.
-  cluster.put(key, pref[0], dvv::kv::client_actor(0), {}, "v", {});
+  cluster.put(key, dvv::kv::client_actor(0), {}, "v", dvv::test::routed(pref[0], {}));
   ASSERT_FALSE(cluster.get(key, pref[1]).found);
 
   cluster.partition({{pref[0]}, {pref[1]}});
@@ -350,7 +351,8 @@ TEST(ClusterTransport, RepairCannotCrossAnActivePartition) {
   const Key key = "k";
   const auto pref = cluster.preference_list(key);
   // Divergence on pref[2] only: it alone holds the write.
-  cluster.put(key, pref[2], dvv::kv::client_actor(0), {}, "island", {});
+  cluster.put(key, dvv::kv::client_actor(0), {}, "island",
+              dvv::test::routed(pref[2], {}));
   ASSERT_TRUE(cluster.get(key, pref[2]).found);
   ASSERT_FALSE(cluster.get(key, pref[0]).found);
 
@@ -390,7 +392,8 @@ TEST(ClusterTransport, ReceiptsDoNotCountUnreachableTargets) {
   // Fan-out: one preference member across the cut.
   cluster.partition({{pref[1]}}, "cut replica");
   const auto put_receipt =
-      cluster.put(key, pref[0], dvv::kv::client_actor(0), {}, "v", pref);
+      cluster.put(key, dvv::kv::client_actor(0), {}, "v",
+                  dvv::test::routed(pref[0], pref));
   EXPECT_EQ(put_receipt.replicated_to, 1u)
       << "only the reachable member counts";
 
@@ -400,7 +403,7 @@ TEST(ClusterTransport, ReceiptsDoNotCountUnreachableTargets) {
   std::vector<dvv::net::NodeId> fallbacks(order.begin() + 3, order.end());
   cluster.partition({{pref[0], pref[1], pref[2]}}, "fallbacks cut off");
   const auto handoff_receipt =
-      cluster.put_with_handoff(key, pref[0], dvv::kv::client_actor(0), {}, "w");
+      cluster.put(key, dvv::kv::client_actor(0), {}, "w", dvv::test::handoff(pref[0]));
   EXPECT_EQ(handoff_receipt.hinted, 0u) << "no reachable fallback to park on";
   EXPECT_EQ(handoff_receipt.unparked, 1u) << "the uncovered owner is reported";
   EXPECT_EQ(cluster.hinted_count(), 0u);
@@ -487,8 +490,7 @@ TEST(ThreadedTransportHosted, EntryEnqueuedDuringAPumpStillWakes) {
 TEST(ThreadedTransportHosted, MultiProducerStressReachesQuiescence) {
   // Host threads follow the contract: consume the wake, then pump.  A
   // lost wake would strand entries, so idle() would never read true.
-  // Closures rather than messages: the encode/decode pools are
-  // deliberately leaky thread_locals, and the wake path is the same.
+  // Closures rather than messages: the wake path is the same.
   constexpr std::size_t kShards = 2;
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 4000;
