@@ -1173,6 +1173,8 @@ class Cluster {
     // rebalance digest-only (bench_rebalance's floor rows).
     std::set<std::uint64_t> partitions;
     std::map<std::uint64_t, std::set<ReplicaId>> holders;
+    // Every key goes into the fresh index's dirty set directly, so a
+    // replica's dirty bits (set or clear) stay truthful without a reset.
     for (auto& rep : replicas_) {
       for (const Key& key : rep.keys()) {
         digest_index_.on_key_touched(rep.id(), key);
@@ -1509,8 +1511,9 @@ class Cluster {
     const std::vector<ReplicaId>& targets =
         opts.replicate_to.has_value() ? *opts.replicate_to : default_targets;
     QuorumCoordinator<M>& eng = engine_for(coordinator);
-    Replica<M>& coord = replicas_.at(coordinator);
-    coord.put(mechanism_, key, coordinator, client, ctx, std::move(value));
+    const Stored& fresh =
+        replicas_.at(coordinator)
+            .put(mechanism_, key, coordinator, client, ctx, std::move(value));
 
     PutReceipt base;
     base.coordinator = coordinator;
@@ -1522,15 +1525,14 @@ class Cluster {
     // the quorum bar is sealed only after the scatter width is known).
     (void)eng.on_write_ack(id, coordinator);
 
-    const Stored* fresh = coord.find(key);
-    DVV_ASSERT(fresh != nullptr);
     // One message shared by the whole fan-out (the payload is identical
     // per target).  The decoded fast path aliases the coordinator's
     // live state WITHOUT owning it: valid for synchronous delivery
     // only, which is exactly the envelope contract — a queuing
     // transport serializes at send and drops the alias.
     const net::Message* msg = nullptr;
-    const std::shared_ptr<const void> decoded(std::shared_ptr<const void>{}, fresh);
+    const std::shared_ptr<const void> decoded(std::shared_ptr<const void>{},
+                                              &fresh);
     std::size_t msg_bytes = 0;
     bool dead_target = false;
     for (const ReplicaId r : targets) {
@@ -1548,7 +1550,7 @@ class Cluster {
             slots_for(coordinator).write_req, [&](auto& out) {
               out.req = id;
               out.key = key;
-              Replica<M>::encode_state_into(*fresh, out.state);
+              Replica<M>::encode_state_into(fresh, out.state);
             });
         msg_bytes = net::wire_size_of(std::get<net::CoordWriteReqMsg>(*msg));
       }
@@ -1564,7 +1566,7 @@ class Cluster {
     // The hints carry the fan-out's encoding; the state is encoded here
     // only when nothing fanned out.
     std::string encoded_here;
-    if (msg == nullptr) Replica<M>::encode_state_into(*fresh, encoded_here);
+    if (msg == nullptr) Replica<M>::encode_state_into(fresh, encoded_here);
     const std::string& encoded =
         msg != nullptr ? std::get<net::CoordWriteReqMsg>(*msg).state : encoded_here;
     const Ring& route = routing_ring(key);
@@ -1911,9 +1913,11 @@ class Cluster {
     send_message(responder, initiator, resp);
   }
 
+  /// Folds replica `r`'s dirty keys into its trees; the find callback
+  /// clears each folded key's dirty bit (Replica::find_for_refresh).
   void refresh_tree(ReplicaId r) {
     digest_index_.refresh(r, [this, r](const Key& key) {
-      return replicas_.at(r).find(key);
+      return replicas_.at(r).find_for_refresh(key);
     });
   }
 

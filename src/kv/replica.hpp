@@ -10,11 +10,14 @@
 // the key's full post-write codec encoding.  crash() drops the volatile
 // state (plus whatever the backend's durability model loses); recover()
 // replays the surviving log and re-dirties every key so the anti-entropy
-// Merkle trees rebuild through the KeyObserver hook.  With the default
-// MemBackend the write-through is a no-op and crash() is total loss —
-// the seed's behaviour, now explicit.
+// Merkle trees rebuild through the KeyObserver hook.  The hook fires
+// once per key per tree refresh, not once per write: each entry carries
+// a dirty bit (see Entry).  With the default MemBackend the write-through
+// is a no-op and crash() is total loss — the seed's behaviour, now
+// explicit.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -66,10 +69,15 @@ class Replica {
   /// tests and benches — e.g. forcing a flush before a crash).
   [[nodiscard]] store::StorageBackend& backend() noexcept { return *backend_; }
 
-  /// Registers the anti-entropy subsystem's dirty-key hook.  Every
-  /// mutation path reports the touched key so Merkle digests can be
-  /// refreshed incrementally (src/sync).  Null disables reporting.
-  void set_observer(sync::KeyObserver* observer) noexcept { observer_ = observer; }
+  /// Registers the anti-entropy subsystem's dirty-key hook.  A mutation
+  /// reports its key once per refresh — the first mutation after
+  /// find_for_refresh() folded the key — so Merkle digests can be
+  /// refreshed incrementally (src/sync).  Null disables reporting.  A
+  /// new observer has seen no key yet, so every dirty bit is cleared.
+  void set_observer(sync::KeyObserver* observer) noexcept {
+    observer_ = observer;
+    for (auto& [key, entry] : data_) entry.dirty = false;
+  }
 
   // ---- crash / recovery --------------------------------------------------
 
@@ -80,7 +88,9 @@ class Replica {
   /// record hit the disk before power died.
   void crash(std::size_t torn_tail_bytes = 0) {
     alive_ = false;
-    for (const auto& [key, stored] : data_) touched(key);  // trees must forget
+    if (observer_ != nullptr) {  // trees must forget, dirty bit or not
+      for (const auto& [key, entry] : data_) observer_->on_key_touched(id_, key);
+    }
     data_.clear();
     hinted_.clear();
     backend_->drop_volatile(torn_tail_bytes);
@@ -102,7 +112,7 @@ class Replica {
     for (store::Record& rec : replay.records) {
       switch (rec.type) {
         case store::RecordType::kData:
-          decode_into(rec.state, data_[rec.key]);
+          decode_into(rec.state, data_[rec.key].state);
           break;
         case store::RecordType::kHint:
           decode_into(rec.state, hinted_[{rec.owner, rec.key}]);
@@ -112,7 +122,7 @@ class Replica {
           break;
       }
     }
-    for (const auto& [key, stored] : data_) touched(key);
+    for (auto& [key, entry] : data_) touched(key, entry);
     if (replay.stats.records_lost_unflushed > 0 ||
         replay.stats.torn_records_dropped > 0) {
       ++incarnation_;
@@ -154,22 +164,25 @@ class Replica {
     auto it = data_.find(key);
     if (it == data_.end()) return r;
     r.found = true;
-    r.values = m.values_of(it->second);
-    r.context = m.context_of(it->second);
+    r.values = m.values_of(it->second.state);
+    r.context = m.context_of(it->second.state);
     return r;
   }
 
   /// Local coordinated PUT (the mechanism's update()).  When this
   /// replica coordinates for itself, the dot is minted under its
   /// incarnation-qualified clock actor so a lossily-recovered replica
-  /// can never re-issue a pre-crash event id.
-  void put(const M& m, const Key& key, ReplicaId coordinator, ClientId client,
-           const Context& ctx, Value value) {
+  /// can never re-issue a pre-crash event id.  Returns the key's state
+  /// after the write (valid until the key's next mutation), so the
+  /// caller fans it out without searching the map again.
+  const Stored& put(const M& m, const Key& key, ReplicaId coordinator,
+                    ClientId client, const Context& ctx, Value value) {
     const ReplicaId actor = coordinator == id_ ? clock_actor() : coordinator;
-    Stored& slot = data_[key];
-    m.update(slot, actor, client, ctx, std::move(value));
-    touched(key);
-    persist_data(key, slot);
+    Entry& entry = data_[key];
+    m.update(entry.state, actor, client, ctx, std::move(value));
+    touched(key, entry);
+    persist_data(key, entry.state);
+    return entry.state;
   }
 
   /// Merges a remote sibling state for `key` into ours (one direction).
@@ -183,17 +196,20 @@ class Replica {
   /// merge_key whose key is still a view into a received buffer (the
   /// zero-copy delivery path): the lookup is transparent, so the key
   /// bytes are copied only when the key is NEW here — adoption, the one
-  /// place the view path materializes.
+  /// place the view path materializes.  One search either way: the
+  /// insert reuses the lookup's position.
   void merge_key_view(const M& m, std::string_view key, const Stored& remote) {
-    auto it = data_.find(key);
-    const bool inserted = it == data_.end();
-    if (inserted) it = data_.try_emplace(Key(key)).first;
-    const std::string before = inserted ? std::string() : encode_state(it->second);
-    m.sync(it->second, remote);
-    const std::string after = encode_state(it->second);
+    auto it = data_.lower_bound(key);
+    const bool inserted = it == data_.end() || it->first != key;
+    if (inserted) it = data_.emplace_hint(it, Key(key), Entry{});
+    Entry& entry = it->second;
+    const std::string_view before =
+        inserted ? std::string_view() : encode_scratch(entry.state, kBefore);
+    m.sync(entry.state, remote);
+    const std::string_view after = encode_scratch(entry.state, kAfter);
     if (!inserted && after == before) return;
-    touched(it->first);
-    backend_->append({store::RecordType::kData, it->first, 0, after});
+    touched(it->first, entry);
+    backend_->append({store::RecordType::kData, it->first, 0, std::string(after)});
   }
 
   /// merge_key for a payload that arrived as wire bytes (the transport
@@ -209,12 +225,14 @@ class Replica {
   /// merge), skipping the write entirely when the key already holds
   /// those exact bytes.  Returns whether anything changed.
   bool adopt(const Key& key, const Stored& state) {
-    const std::string after = encode_state(state);
+    const std::string_view after = encode_scratch(state, kAfter);
     auto [it, inserted] = data_.try_emplace(key);
-    if (!inserted && encode_state(it->second) == after) return false;
-    it->second = state;
-    touched(key);
-    backend_->append({store::RecordType::kData, key, 0, after});
+    if (!inserted && encode_scratch(it->second.state, kBefore) == after) {
+      return false;
+    }
+    it->second.state = state;
+    touched(key, it->second);
+    backend_->append({store::RecordType::kData, key, 0, std::string(after)});
     return true;
   }
 
@@ -223,8 +241,8 @@ class Replica {
   /// other: after a full sync both replicas hold identical data AND
   /// identical hints for every (owner, key).
   void sync_with(const M& m, Replica& other) {
-    for (const auto& [key, stored] : other.data_) merge_key(m, key, stored);
-    for (const auto& [key, stored] : data_) other.merge_key(m, key, stored);
+    for (const auto& [key, entry] : other.data_) merge_key(m, key, entry.state);
+    for (const auto& [key, entry] : data_) other.merge_key(m, key, entry.state);
     for (const auto& [owner_key, stored] : other.hinted_) {
       stash_hint(m, owner_key.first, owner_key.second, stored);
     }
@@ -235,14 +253,25 @@ class Replica {
 
   [[nodiscard]] const Stored* find(std::string_view key) const {
     auto it = data_.find(key);
-    return it == data_.end() ? nullptr : &it->second;
+    return it == data_.end() ? nullptr : &it->second.state;
+  }
+
+  /// find() for the digest index's refresh (DigestIndex::refresh's find
+  /// callback): the refresh folds the key into its tree and forgets it,
+  /// so this also clears the key's dirty bit — the next mutation must
+  /// report the key again.
+  [[nodiscard]] const Stored* find_for_refresh(std::string_view key) {
+    auto it = data_.find(key);
+    if (it == data_.end()) return nullptr;
+    it->second.dirty = false;
+    return &it->second.state;
   }
 
   /// All keys this replica holds (sorted: data_ is an ordered map).
   [[nodiscard]] std::vector<Key> keys() const {
     std::vector<Key> out;
     out.reserve(data_.size());
-    for (const auto& [key, stored] : data_) out.push_back(key);
+    for (const auto& [key, entry] : data_) out.push_back(key);
     return out;
   }
 
@@ -253,12 +282,12 @@ class Replica {
 
   [[nodiscard]] Footprint footprint(const M& m) const {
     Footprint f;
-    for (const auto& [key, stored] : data_) {
+    for (const auto& [key, entry] : data_) {
       ++f.keys;
-      f.siblings += m.sibling_count(stored);
-      f.clock_entries += m.clock_entries(stored);
-      f.metadata_bytes += m.metadata_bytes(stored);
-      f.total_bytes += m.total_bytes(stored);
+      f.siblings += m.sibling_count(entry.state);
+      f.clock_entries += m.clock_entries(entry.state);
+      f.metadata_bytes += m.metadata_bytes(entry.state);
+      f.total_bytes += m.total_bytes(entry.state);
     }
     return f;
   }
@@ -276,11 +305,12 @@ class Replica {
   /// Parks `remote` for `owner` (merging with any hint already parked).
   void stash_hint(const M& m, ReplicaId owner, const Key& key, const Stored& remote) {
     auto [it, inserted] = hinted_.try_emplace({owner, key});
-    const std::string before = inserted ? std::string() : encode_state(it->second);
+    const std::string_view before =
+        inserted ? std::string_view() : encode_scratch(it->second, kBefore);
     m.sync(it->second, remote);
-    const std::string after = encode_state(it->second);
+    const std::string_view after = encode_scratch(it->second, kAfter);
     if (!inserted && after == before) return;
-    backend_->append({store::RecordType::kHint, key, owner, after});
+    backend_->append({store::RecordType::kHint, key, owner, std::string(after)});
   }
 
   /// stash_hint for a payload that arrived as wire bytes (a HintMsg).
@@ -312,10 +342,10 @@ class Replica {
   void replace_hint(ReplicaId owner, const Key& key, const Stored& state) {
     auto it = hinted_.find({owner, key});
     if (it == hinted_.end()) return;
-    const std::string after = encode_state(state);
-    if (encode_state(it->second) == after) return;
+    const std::string_view after = encode_scratch(state, kAfter);
+    if (encode_scratch(it->second, kBefore) == after) return;
     it->second = state;
-    backend_->append({store::RecordType::kHint, key, owner, after});
+    backend_->append({store::RecordType::kHint, key, owner, std::string(after)});
   }
 
   /// Number of (owner, key) hints currently parked here.
@@ -364,9 +394,7 @@ class Replica {
   /// hit the WAL, and feed the state digests.  Public so the message
   /// layer builds payloads from the exact same encoding.
   [[nodiscard]] static std::string encode_state(const Stored& s) {
-    codec::Writer w;
-    codec::encode(w, s);
-    return std::string(reinterpret_cast<const char*>(w.buffer().data()), w.size());
+    return std::string(encode_scratch(s, kAfter));
   }
 
   /// encode_state into a caller-provided buffer.  The message path
@@ -374,11 +402,7 @@ class Replica {
   /// mints no fresh payload allocation per send — the scratch Writer and
   /// the destination both retain capacity.
   static void encode_state_into(const Stored& s, std::string& out) {
-    static thread_local codec::Writer scratch;  // freed at thread exit
-    scratch.clear();
-    codec::encode(scratch, s);
-    out.assign(reinterpret_cast<const char*>(scratch.buffer().data()),
-               scratch.size());
+    out.assign(encode_scratch(s, kAfter));
   }
 
   /// Inverse of encode_state: decodes a wire payload (a quorum-read
@@ -390,6 +414,31 @@ class Replica {
   }
 
  private:
+  /// One stored key: the mechanism's sibling state plus the anti-entropy
+  /// dirty bit.  Invariant: a set bit means the observer already holds
+  /// the key as dirty (it was reported and no refresh has folded it
+  /// since), so a mutation reports the key only while the bit is clear —
+  /// in steady state a write never searches the index's dirty set.
+  struct Entry {
+    Stored state;
+    bool dirty = false;
+  };
+
+  /// The two thread-local scratch encodings: an unchanged-check holds a
+  /// before and an after view at once.  Each view is valid until the
+  /// next encode into the same slot on this thread.
+  enum ScratchSlot : std::size_t { kAfter = 0, kBefore = 1 };
+
+  /// Encodes `s` into this thread's reusable scratch writer `slot`
+  /// (freed at thread exit): steady state allocates no encode buffer.
+  static std::string_view encode_scratch(const Stored& s, ScratchSlot slot) {
+    static thread_local std::array<codec::Writer, 2> scratch;
+    codec::Writer& w = scratch[slot];
+    w.clear();
+    codec::encode(w, s);
+    return {reinterpret_cast<const char*>(w.buffer().data()), w.size()};
+  }
+
   static void decode_into(std::string_view bytes, Stored& out) {
     codec::Reader r(std::span<const std::byte>(
         reinterpret_cast<const std::byte*>(bytes.data()), bytes.size()));
@@ -398,11 +447,16 @@ class Replica {
   }
 
   void persist_data(const Key& key, const Stored& s) {
-    backend_->append({store::RecordType::kData, key, 0, encode_state(s)});
+    backend_->append(
+        {store::RecordType::kData, key, 0, std::string(encode_scratch(s, kAfter))});
   }
 
-  void touched(const Key& key) {
-    if (observer_ != nullptr) observer_->on_key_touched(id_, key);
+  /// Reports a mutated key to the observer unless its dirty bit says the
+  /// observer already holds it.
+  void touched(const Key& key, Entry& entry) {
+    if (entry.dirty || observer_ == nullptr) return;
+    entry.dirty = true;
+    observer_->on_key_touched(id_, key);
   }
 
   ReplicaId id_;
@@ -410,14 +464,15 @@ class Replica {
   std::uint64_t incarnation_ = 0;  ///< survives crash(); see incarnation()
   sync::KeyObserver* observer_ = nullptr;
   std::unique_ptr<store::StorageBackend> backend_;
-  /// Ordered on purpose (dvv_lint bans unordered containers here): every
-  /// iteration over replica state — sync_with's merge order, crash/
-  /// recover re-dirtying, footprint accounting — is part of the twin-
-  /// equivalence surface, and unordered iteration order is an
-  /// implementation detail of the standard library build.
+  /// Key -> {state, dirty bit}.  Ordered on purpose (dvv_lint bans
+  /// unordered containers here): every iteration over replica state —
+  /// sync_with's merge order, crash/recover re-dirtying, footprint
+  /// accounting — is part of the twin-equivalence surface, and unordered
+  /// iteration order is an implementation detail of the standard library
+  /// build.
   /// std::less<> so the view-based delivery path looks keys up without
   /// materializing a temporary Key (ordering is unchanged).
-  std::map<Key, Stored, std::less<>> data_;
+  std::map<Key, Entry, std::less<>> data_;
   std::map<std::pair<ReplicaId, Key>, Stored> hinted_;
 };
 

@@ -1,6 +1,7 @@
 #include "kv/ring.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 
 namespace dvv::kv {
@@ -44,36 +45,53 @@ Ring::Ring(std::vector<ReplicaId> members, std::size_t replication,
     }
   }
   std::sort(ring_.begin(), ring_.end());
+  preference_table_.reserve(ring_.size() * replication_);
+  std::vector<ReplicaId> pref;
+  for (std::size_t v = 0; v < ring_.size(); ++v) {
+    pref.clear();
+    walk(v, replication_, pref);
+    preference_table_.insert(preference_table_.end(), pref.begin(), pref.end());
+  }
 }
 
 bool Ring::is_member(ReplicaId r) const noexcept {
   return std::binary_search(members_.begin(), members_.end(), r);
 }
 
-std::vector<ReplicaId> Ring::preference_list(std::string_view key) const {
-  std::vector<ReplicaId> out = ring_order(key);
-  out.resize(replication_);
+std::vector<ReplicaId> Ring::preference_list_at(std::uint64_t point) const {
+  const auto first = preference_table_.begin() +
+                     static_cast<std::ptrdiff_t>(first_vnode(point) * replication_);
+  return {first, first + static_cast<std::ptrdiff_t>(replication_)};
+}
+
+std::vector<ReplicaId> Ring::ring_order_at(std::uint64_t point) const {
+  std::vector<ReplicaId> out;
+  out.reserve(members_.size());
+  walk(first_vnode(point), members_.size(), out);
+  DVV_ASSERT(out.size() == members_.size());
   return out;
 }
 
-std::vector<ReplicaId> Ring::ring_order(std::string_view key) const {
-  const std::uint64_t point = hash(key);
-  std::vector<ReplicaId> out;
-  out.reserve(members_.size());
+std::size_t Ring::first_vnode(std::uint64_t point) const noexcept {
+  const auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), point,
+      [](const VNode& v, std::uint64_t p) { return v.point < p; });
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
+}
 
-  auto it = std::lower_bound(ring_.begin(), ring_.end(), point,
-                             [](const VNode& v, std::uint64_t p) { return v.point < p; });
-  // Walk clockwise collecting distinct physical servers.
-  for (std::size_t walked = 0;
-       walked < ring_.size() && out.size() < members_.size(); ++walked) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (std::find(out.begin(), out.end(), it->server) == out.end()) {
-      out.push_back(it->server);
+void Ring::walk(std::size_t start, std::size_t want,
+                std::vector<ReplicaId>& out) const {
+  // Clockwise, wrapping past the last vnode, collecting distinct
+  // physical servers.
+  std::size_t v = start;
+  for (std::size_t walked = 0; walked < ring_.size() && out.size() < want;
+       ++walked) {
+    const ReplicaId server = ring_[v].server;
+    if (std::find(out.begin(), out.end(), server) == out.end()) {
+      out.push_back(server);
     }
-    ++it;
+    v = v + 1 == ring_.size() ? 0 : v + 1;
   }
-  DVV_ASSERT(out.size() == members_.size());
-  return out;
 }
 
 std::uint64_t Ring::hash(std::string_view data) noexcept {

@@ -58,13 +58,23 @@ class Ring {
   [[nodiscard]] bool is_member(ReplicaId r) const noexcept;
 
   /// The R distinct servers responsible for `key`, coordinator first.
-  [[nodiscard]] std::vector<ReplicaId> preference_list(std::string_view key) const;
+  /// A table lookup: the constructor walked the ring once per vnode.
+  [[nodiscard]] std::vector<ReplicaId> preference_list(std::string_view key) const {
+    return preference_list_at(hash(key));
+  }
 
   /// ALL distinct servers in clockwise ring order starting from the
   /// key's position.  preference_list is the first R entries; the rest
   /// are the fallback order used for hinted handoff when preference
   /// members are down.
-  [[nodiscard]] std::vector<ReplicaId> ring_order(std::string_view key) const;
+  [[nodiscard]] std::vector<ReplicaId> ring_order(std::string_view key) const {
+    return ring_order_at(hash(key));
+  }
+
+  /// preference_list / ring_order for a ring position rather than a key
+  /// (a key sits at hash(key)); tests probe vnode boundaries with these.
+  [[nodiscard]] std::vector<ReplicaId> preference_list_at(std::uint64_t point) const;
+  [[nodiscard]] std::vector<ReplicaId> ring_order_at(std::uint64_t point) const;
 
   /// 64-bit FNV-1a, exposed for tests and for workload key bucketing.
   [[nodiscard]] static std::uint64_t hash(std::string_view data) noexcept;
@@ -80,10 +90,20 @@ class Ring {
     }
   };
 
+  /// Index of the first vnode at or clockwise after `point`.
+  [[nodiscard]] std::size_t first_vnode(std::uint64_t point) const noexcept;
+
+  /// Walks clockwise from vnode `start`, appending distinct servers to
+  /// `out` until it holds `want` of them.
+  void walk(std::size_t start, std::size_t want, std::vector<ReplicaId>& out) const;
+
   std::vector<ReplicaId> members_;  // distinct, ascending
   std::size_t replication_;
   std::size_t vnodes_;
   std::vector<VNode> ring_;  // sorted by point
+  /// Per vnode i, the first R distinct servers clockwise from it, at
+  /// [i * R, (i + 1) * R).
+  std::vector<ReplicaId> preference_table_;
 };
 
 }  // namespace dvv::kv

@@ -164,6 +164,8 @@ struct ServerMetrics {
   MetricCounter bytes_read;            ///< server.bytes_read
   MetricCounter bytes_written;         ///< server.bytes_written
   MetricCounter reads_paused;          ///< server.reads_paused (flow control)
+  MetricCounter read_calls;            ///< server.read_calls (read(2) on
+                                       ///  client sockets)
   MetricCounter write_calls;           ///< server.write_calls (write(2) on
                                        ///  client sockets)
   MetricCounter interest_updates;      ///< server.interest_updates

@@ -418,6 +418,7 @@ ServerMetrics& server_metrics() {
     out.bytes_read = r.counter("server.bytes_read");
     out.bytes_written = r.counter("server.bytes_written");
     out.reads_paused = r.counter("server.reads_paused");
+    out.read_calls = r.counter("server.read_calls");
     out.write_calls = r.counter("server.write_calls");
     out.interest_updates = r.counter("server.interest_updates");
     out.decode_reject = r.counter("server.decode_reject");

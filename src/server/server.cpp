@@ -255,6 +255,7 @@ void Server::handle_readable(std::size_t shard, std::uint64_t conn_id) {
     if (it == loop.conns.end()) return;
     Connection& conn = it->second;
     if (conn.reads_paused) return;  // flow control kicked in mid-batch
+    met.read_calls.inc();
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n == 0) {
       close_connection(shard, conn_id);
@@ -296,6 +297,10 @@ void Server::handle_readable(std::size_t shard, std::uint64_t conn_id) {
         return;
       }
     }
+    // A short read drained the socket: another read() would only see
+    // EAGAIN.  The connection's EPOLLIN is level-triggered, so bytes
+    // that arrive later (and EOF) wake the loop again.
+    if (static_cast<std::size_t>(n) < sizeof(buf)) return;
   }
 }
 

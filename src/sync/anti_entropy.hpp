@@ -80,8 +80,10 @@ struct SyncStats {
                                                    SyncStats& stats);
 
 /// Per-(replica, partition) Merkle trees + dirty-key tracking.
-/// Implements the kv layer's KeyObserver so replicas can mark keys
-/// dirty on every mutation; digests are recomputed lazily in refresh().
+/// Implements the kv layer's KeyObserver.  A replica reports a key on
+/// its first mutation after the key's last refresh (the replica keeps a
+/// dirty bit per key), so a key is reported once per refresh, not once
+/// per write; digests are recomputed lazily in refresh().
 /// The partitioner callback maps a key to its owner set (the cluster's
 /// preference list); keys sharing an owner set share a tree.
 class DigestIndex final : public KeyObserver {
@@ -101,8 +103,12 @@ class DigestIndex final : public KeyObserver {
 
   void on_key_touched(core::ActorId replica, const std::string& key) override;
 
-  /// Folds `replica`'s dirty keys into its partition trees.  `find(key)`
-  /// returns the replica's current Stored* (null when the key is absent).
+  /// Folds `replica`'s dirty keys into its partition trees and empties
+  /// its dirty set.  `find(key)` returns the replica's current Stored*
+  /// (null when the key is absent) and must clear the replica's dirty
+  /// bit for `key`: once folded here, the key's next mutation has to be
+  /// reported again.  A bit left set would hide that mutation from every
+  /// later refresh.
   template <typename FindFn>
   void refresh(std::size_t replica, FindFn&& find) {
     DVV_ASSERT(replica < trees_.size());

@@ -354,8 +354,10 @@ TEST(MembershipCluster, RejoinBumpsTheClockIncarnation) {
   seed_keys(cluster, 16);
 
   const std::uint64_t before = cluster.replica(2).incarnation();
+#if !defined(DVV_OBS_DISABLED)
   const std::uint64_t rejoins_before =
       dvv::obs::membership_metrics().rejoin_incarnations.value();
+#endif
 
   cluster.leave_node(2);
   (void)cluster.complete_rebalance();
@@ -367,8 +369,10 @@ TEST(MembershipCluster, RejoinBumpsTheClockIncarnation) {
   cluster.join_node(2);
   (void)cluster.complete_rebalance();
   EXPECT_EQ(cluster.replica(2).incarnation(), before + 1);
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(dvv::obs::membership_metrics().rejoin_incarnations.value(),
             rejoins_before + 1);
+#endif
 
   // A FRESH id (never a member) joins without a bump.
   Cluster<DvvMechanism> fresh(elastic_config(4, 5), {});
@@ -404,13 +408,17 @@ TEST(MembershipCluster, StaleOwnerHintIsRedirectedNotMisdelivered) {
 
   // Delivery must REDIRECT to a current owner — not push the write to
   // the departed replica, where steady-state AAE would never repair it.
+#if !defined(DVV_OBS_DISABLED)
   const std::uint64_t retargeted_before =
       dvv::obs::membership_metrics().hints_retargeted.value();
+#endif
   const std::size_t delivered = cluster.deliver_hints();
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(cluster.hinted_count(), 0u);
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(dvv::obs::membership_metrics().hints_retargeted.value(),
             retargeted_before + 1);
+#endif
 
   EXPECT_FALSE(cluster.get(key, victim).found)
       << "the write was misdelivered to the departed replica";
@@ -449,21 +457,27 @@ TEST(MembershipCluster, StaleEpochRequestIsForwardedAndCounted) {
   // A request arriving at the lagging node forwards to a current owner
   // and is counted as a stale-epoch forward.
   const Key key = "mem-0";
+#if !defined(DVV_OBS_DISABLED)
   const std::uint64_t stale_before =
       dvv::obs::membership_metrics().stale_epoch_forwarded.value();
+#endif
   const auto routed = cluster.route_request(key, 5);
   ASSERT_TRUE(routed.has_value());
   const auto pref = cluster.preference_list(key);
   EXPECT_NE(std::find(pref.begin(), pref.end(), *routed), pref.end());
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(dvv::obs::membership_metrics().stale_epoch_forwarded.value(),
             stale_before + 1);
+#endif
 
   // A current-epoch owner coordinates in place: no forward, no count.
   const auto direct = cluster.route_request(key, pref[0]);
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(*direct, pref[0]);
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(dvv::obs::membership_metrics().stale_epoch_forwarded.value(),
             stale_before + 1);
+#endif
 }
 
 TEST(MembershipCluster, EmptyClusterTransitionsFlipImmediately) {

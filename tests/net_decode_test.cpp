@@ -159,28 +159,36 @@ TEST(NetDecode, RejectTaxonomyCounters) {
   const bool was_enabled = reg.enabled();
   reg.set_enabled(true);
 
+#if !defined(DVV_OBS_DISABLED)
   const auto count = [&reg](const std::string& name) {
     return reg.counter_value(name);
   };
   const std::uint64_t base_total = count("net.decode_reject");
   const std::uint64_t base_replicate = count("net.decode_reject.replicate");
   const std::uint64_t base_unknown = count("net.decode_reject.unknown");
+#endif
 
   // Readable tag, malformed body: total + per-type counter.
   const std::string torn = encode_to_bytes(specimens()[0]).substr(0, 3);
   EXPECT_FALSE(decode_or_reject(torn).has_value());
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(count("net.decode_reject"), base_total + 1);
   EXPECT_EQ(count("net.decode_reject.replicate"), base_replicate + 1);
+#endif
 
   // Unreadable / out-of-range tag: total + .unknown.
   EXPECT_FALSE(decode_or_reject(std::string(1, '\x63')).has_value());
   EXPECT_FALSE(decode_or_reject(std::string()).has_value());
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(count("net.decode_reject"), base_total + 3);
   EXPECT_EQ(count("net.decode_reject.unknown"), base_unknown + 2);
+#endif
 
   // A clean decode bumps nothing.
   EXPECT_TRUE(decode_or_reject(encode_to_bytes(specimens()[0])).has_value());
+#if !defined(DVV_OBS_DISABLED)
   EXPECT_EQ(count("net.decode_reject"), base_total + 3);
+#endif
 
   reg.set_enabled(was_enabled);
 }

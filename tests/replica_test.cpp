@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 
 #include "kv/mechanism.hpp"
+#include "store/mem_backend.hpp"
+#include "sync/key_observer.hpp"
 
 namespace {
 
@@ -123,6 +127,66 @@ TEST(Replica, StashedHintsMerge) {
   fallback.deliver_hints(kMech, lookup);
   const auto got = owner.get(kMech, "k");
   EXPECT_EQ(got.values.size(), 2u) << "both concurrent parked writes arrive";
+}
+
+// ---- the anti-entropy dirty bit -----------------------------------------
+
+/// Counts on_key_touched calls per key.
+struct CountingObserver final : dvv::sync::KeyObserver {
+  std::map<std::string, int> touches;
+  int total = 0;
+  void on_key_touched(dvv::core::ActorId /*replica*/, const std::string& key) override {
+    ++touches[key];
+    ++total;
+  }
+};
+
+TEST(ReplicaDirtyBit, RepeatedWritesReportOnceUntilRefresh) {
+  CountingObserver obs;
+  Replica<DvvMechanism> rep(0);
+  rep.set_observer(&obs);
+  for (int i = 0; i < 1000; ++i) rep.put(kMech, "k", 0, kClient, {}, "v");
+  EXPECT_EQ(obs.total, 1);
+
+  // The refresh's find clears the bit: the next write reports again,
+  // once.
+  ASSERT_NE(rep.find_for_refresh("k"), nullptr);
+  rep.put(kMech, "k", 0, kClient, {}, "v");
+  rep.put(kMech, "k", 0, kClient, {}, "v");
+  EXPECT_EQ(obs.total, 2);
+  EXPECT_EQ(obs.touches["k"], 2);
+}
+
+TEST(ReplicaDirtyBit, UnchangedMergeReportsAndPersistsNothing) {
+  auto backend = std::make_unique<dvv::store::MemBackend>();
+  const dvv::store::MemBackend& mem = *backend;
+  CountingObserver obs;
+  Replica<DvvMechanism> source(1), rep(0, std::move(backend));
+  source.put(kMech, "k", 1, kClient, {}, "v");
+  rep.set_observer(&obs);
+  rep.merge_key(kMech, "k", *source.find("k"));
+  EXPECT_EQ(obs.total, 1);
+  ASSERT_NE(rep.find_for_refresh("k"), nullptr);  // bit clear again
+
+  // Same bytes again: no report even with the bit clear, no record.
+  const std::size_t appends = mem.appends();
+  rep.merge_key(kMech, "k", *source.find("k"));
+  EXPECT_EQ(obs.total, 1);
+  EXPECT_EQ(mem.appends(), appends);
+}
+
+TEST(ReplicaDirtyBit, CrashReportsEveryHeldKey) {
+  CountingObserver obs;
+  Replica<DvvMechanism> rep(0);
+  rep.set_observer(&obs);
+  for (const char* k : {"a", "b", "c"}) rep.put(kMech, k, 0, kClient, {}, "v");
+  ASSERT_NE(rep.find_for_refresh("a"), nullptr);  // "a" clean, "b"/"c" dirty
+  obs.touches.clear();
+  obs.total = 0;
+
+  rep.crash();
+  EXPECT_EQ(obs.total, 3) << "trees must forget every key, dirty bit or not";
+  for (const char* k : {"a", "b", "c"}) EXPECT_EQ(obs.touches[k], 1) << k;
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace {
 
@@ -78,6 +81,48 @@ TEST(Ring, HashIsStableAndSpreads) {
     tops.insert(Ring::hash("key-" + std::to_string(i)) >> 48);
   }
   EXPECT_GT(tops.size(), 900u);
+}
+
+// preference_list reads a per-vnode table built at construction; the
+// full walk (ring_order) is the reference.  Probes every vnode boundary
+// (one before, at, one after each point — the lower_bound edges and the
+// wrap past the last vnode) and a spread of seeded keys.
+void expect_table_matches_walk(const Ring& ring,
+                               const std::vector<dvv::kv::ReplicaId>& members) {
+  const auto prefix = [&](std::vector<dvv::kv::ReplicaId> order) {
+    order.resize(ring.replication());
+    return order;
+  };
+  for (const dvv::kv::ReplicaId m : members) {
+    for (std::size_t v = 0; v < ring.vnodes_per_server(); ++v) {
+      const std::uint64_t p = Ring::hash("vnode:" + std::to_string(m) + ":" +
+                                         std::to_string(v));
+      for (const std::uint64_t at : {p - 1, p, p + 1}) {
+        ASSERT_EQ(ring.preference_list_at(at), prefix(ring.ring_order_at(at)))
+            << "member " << m << " vnode " << v << " point " << at;
+      }
+      ASSERT_EQ(ring.preference_list_at(p)[0], m) << "vnode " << v;
+    }
+  }
+  // Past the last vnode the ring wraps to the first.
+  EXPECT_EQ(ring.preference_list_at(~std::uint64_t{0}), ring.preference_list_at(0));
+  dvv::util::Rng rng(7);
+  for (int k = 0; k < 10'000; ++k) {
+    const std::string key = "key-" + std::to_string(rng.next());
+    ASSERT_EQ(ring.preference_list(key), prefix(ring.ring_order(key))) << key;
+  }
+}
+
+TEST(Ring, PreferenceTableMatchesTheWalk) {
+  const Ring ring(8, 3);
+  expect_table_matches_walk(ring, ring.members());
+}
+
+TEST(Ring, PreferenceTableMatchesTheWalkOnASparseMemberList) {
+  // The member list a cluster routes over after joins and leaves.
+  const std::vector<dvv::kv::ReplicaId> members{1, 2, 5, 9, 10, 14};
+  const Ring ring(members, 3, 16);
+  expect_table_matches_walk(ring, members);
 }
 
 TEST(Ring, AccessorsReportConfiguration) {

@@ -402,6 +402,7 @@ TEST_F(ServerTest, RoundTripsNeedNoInterestChangeAndOneWriteEach) {
   server::Client client(port());
   const std::uint64_t interest_before = counter("server.interest_updates");
   const std::uint64_t writes_before = counter("server.write_calls");
+  const std::uint64_t reads_before = counter("server.read_calls");
   const std::uint64_t responses_before = counter("server.responses_sent");
   server::Response resp;
   for (int i = 0; i < 50; ++i) {
@@ -416,6 +417,9 @@ TEST_F(ServerTest, RoundTripsNeedNoInterestChangeAndOneWriteEach) {
   EXPECT_EQ(responses, 100u);
   EXPECT_EQ(counter("server.interest_updates"), interest_before);
   EXPECT_LE(counter("server.write_calls") - writes_before, responses);
+  // One read() per request: a short read ends the readable event
+  // instead of a second read() that only returns EAGAIN.
+  EXPECT_LE(counter("server.read_calls") - reads_before, responses + 1);
 #endif
 }
 

@@ -344,6 +344,33 @@ TEST(ClusterDigestSync, ConvergedRedeliveryDoesNotDirtyTreesOrShipRepairs) {
   EXPECT_EQ(cluster.anti_entropy(), 0u);
 }
 
+// The replica's dirty bit: a refresh clears it, so a write after the
+// refresh is reported to the index again.  A bit left set would hide the
+// second write from every later refresh — the trees would stay equal and
+// AAE would never ship the coordinator-only copy.
+TEST(ClusterDigestSync, WriteAfterRefreshIsReportedAgain) {
+  Cluster<DvvMechanism> cluster(small_config(), {});
+  const Key key = "k";
+  const auto pref = cluster.preference_list(key);
+  const auto client = dvv::kv::client_actor(0);
+  (void)cluster.put(key, client, {}, "v1");  // fully replicated
+  (void)cluster.anti_entropy_digest();        // folds k at every replica
+
+  (void)cluster.put(key, client, {}, "v2", dvv::test::routed(pref[0], {}));
+  EXPECT_GE(cluster.anti_entropy_digest().stats.keys_shipped, 1u)
+      << "the coordinator-only write never reached the Merkle trees";
+  const auto* coord = cluster.replica(pref[0]).find(key);
+  ASSERT_NE(coord, nullptr);
+  const std::string expected =
+      dvv::kv::Replica<DvvMechanism>::encode_state(*coord);
+  for (const ReplicaId r : pref) {
+    const auto* got = cluster.replica(r).find(key);
+    ASSERT_NE(got, nullptr) << r;
+    EXPECT_EQ(dvv::kv::Replica<DvvMechanism>::encode_state(*got), expected) << r;
+  }
+  EXPECT_EQ(cluster.get(key, pref[1]).values.size(), 2u);
+}
+
 // ---- simulator integration -------------------------------------------------
 
 TEST(SimStoreAae, BackgroundRepairRunsAndWorkloadCompletes) {
